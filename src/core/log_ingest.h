@@ -11,6 +11,7 @@
 #pragma once
 
 #include "core/pipeline.h"
+#include "ctlog/log_source.h"
 #include "ctlog/shard.h"
 
 namespace unicert::core {

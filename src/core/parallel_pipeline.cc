@@ -1,43 +1,16 @@
 #include "core/parallel_pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
-#include <exception>
+#include <deque>
 #include <mutex>
 #include <unordered_map>
 
-#include "core/arena.h"
 #include "core/executor.h"
 #include "core/log_ingest.h"
-#include "x509/lazy.h"
-#include "x509/parser.h"
 
 namespace unicert::core {
 namespace {
-
-// One dispatched delivery on the batched path.
-struct WorkItem {
-    size_t index = 0;                         // stream entry index (dedup identity)
-    const ctlog::CorpusCert* meta = nullptr;  // corpus-backed entry
-    Bytes der;                                // owned wire entry when meta == nullptr
-    BytesView view;                           // borrowed wire entry (mmap-backed source)
-
-    BytesView bytes() const noexcept { return view.empty() ? BytesView(der) : view; }
-};
-
-// Outcome of one delivery, in batch-local delivery order.
-struct ItemResult {
-    size_t index = 0;
-    bool success = false;
-    AnalyzedCert analyzed;         // valid when success
-    QuarantineRecord quarantined;  // valid when !success
-};
-
-struct BatchResult {
-    std::vector<ItemResult> items;
-    std::deque<ctlog::CorpusCert> owned;  // wire-parsed certs for this batch
-};
 
 // Dedup state per entry index. Serial semantics: an index is only
 // suppressed as a duplicate once an earlier delivery of it SUCCEEDED;
@@ -45,66 +18,14 @@ struct BatchResult {
 // stream and must be re-processed.
 enum class EntryOutcome { kInFlight, kSucceeded, kFailed };
 
-struct MergeState {
+struct DedupState {
     std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<size_t, EntryOutcome> outcome;
-    size_t successes_total = 0;  // linted certs across all finished batches
-    size_t next_report = 0;      // last interval multiple surfaced via the hook
 };
 
-// Parse + lint one delivery: the per-entry half of the serial ladder,
-// reproduced verbatim so batch workers make identical decisions.
-ItemResult process_item(WorkItem& item, BatchResult& slot, const lint::Registry& registry,
-                        const lint::RunOptions& lint_options) {
-    ItemResult res;
-    res.index = item.index;
-    if (item.meta == nullptr) {
-        // Wire entry: zero-copy index + lazy lint, materializing the
-        // owning Certificate only on success — the batch worker mirror
-        // of the serial ladder's wire path. One arena per worker
-        // thread; a scope per item hands the memory back immediately.
-        static thread_local core::Arena arena;
-        ArenaScope scope(arena);
-        auto lazy = x509::LazyCertificate::index(item.bytes(), &arena);
-        if (!lazy.ok()) {
-            res.quarantined = {item.index, QuarantineStage::kParse, lazy.error()};
-            return res;
-        }
-        try {
-            lint::CertReport report = lint::run_lints(*lazy, registry, lint_options);
-            ctlog::CorpusCert materialized;
-            materialized.cert = lazy->materialize();
-            slot.owned.push_back(std::move(materialized));
-            AnalyzedCert a;
-            a.cert = &slot.owned.back();
-            a.report = std::move(report);
-            a.noncompliant = a.report.noncompliant();
-            res.analyzed = std::move(a);
-            res.success = true;
-        } catch (const std::exception& ex) {
-            res.quarantined = {item.index, QuarantineStage::kLint,
-                               Error{"lint_exception", ex.what()}};
-        } catch (...) {
-            res.quarantined = {item.index, QuarantineStage::kLint,
-                               Error{"lint_exception", "non-standard exception from lint rule"}};
-        }
-        return res;
-    }
-    try {
-        AnalyzedCert a;
-        a.cert = item.meta;
-        a.report = lint::run_lints(item.meta->cert, registry, lint_options);
-        a.noncompliant = a.report.noncompliant();
-        res.analyzed = std::move(a);
-        res.success = true;
-    } catch (const std::exception& ex) {
-        res.quarantined = {item.index, QuarantineStage::kLint, Error{"lint_exception", ex.what()}};
-    } catch (...) {
-        res.quarantined = {item.index, QuarantineStage::kLint,
-                           Error{"lint_exception", "non-standard exception from lint rule"}};
-    }
-    return res;
+size_t resolve_jobs(const ParallelOptions& parallel) {
+    return parallel.jobs != 0 ? parallel.jobs : Executor::default_concurrency();
 }
 
 size_t auto_batch_size(size_t size_hint, size_t jobs) {
@@ -116,69 +37,55 @@ size_t auto_batch_size(size_t size_hint, size_t jobs) {
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(CertSource& source, PipelineOptions options,
-                                   ParallelOptions parallel) {
-    run_batched(source, options, parallel);
+                                   ParallelOptions parallel)
+    : jobs_(resolve_jobs(parallel)) {
+    run_batched(source, options);
 }
 
 ParallelPipeline::ParallelPipeline(ctlog::LogSource& log, PipelineOptions options,
-                                   ParallelOptions parallel) {
-    run_sharded(log, {}, options, parallel);
+                                   ParallelOptions parallel)
+    : jobs_(resolve_jobs(parallel)) {
+    run_sharded(log, {}, options);
 }
 
 ParallelPipeline::ParallelPipeline(ctlog::LogSource& log,
                                    std::vector<ctlog::ShardCheckpoint> resume,
-                                   PipelineOptions options, ParallelOptions parallel) {
-    run_sharded(log, std::move(resume), options, parallel);
+                                   PipelineOptions options, ParallelOptions parallel)
+    : jobs_(resolve_jobs(parallel)) {
+    run_sharded(log, std::move(resume), options);
 }
 
-void ParallelPipeline::run_batched(CertSource& source, const PipelineOptions& options,
-                                   const ParallelOptions& parallel) {
-    const lint::Registry& registry =
-        options.registry != nullptr ? *options.registry : lint::default_registry();
-    core::Clock& clock = options.clock != nullptr ? *options.clock : core::system_clock();
-
-    jobs_ = parallel.jobs != 0 ? parallel.jobs : Executor::default_concurrency();
+void ParallelPipeline::run_batched(CertSource& source, const PipelineOptions& options) {
     const size_t size_hint = source.size_hint();
-    const size_t batch_size =
-        parallel.batch_size != 0 ? parallel.batch_size : auto_batch_size(size_hint, jobs_);
+    const size_t batch_size = auto_batch_size(size_hint, jobs_);
+    internal::ProgressCounter progress(options, size_hint);
 
-    Executor pool(jobs_);
-    MergeState state;
-    // Completed batches, in submission (= delivery) order. A deque so
+    DedupState dedup;
+    // One state per batch, in submission (= delivery) order. A deque so
     // the fetch thread appends while workers hold references to their
     // own slots; only this thread touches the container itself.
-    std::deque<BatchResult> batches;
-    std::vector<WorkItem> current;
+    std::deque<internal::StreamState> batches;
+    std::vector<CertEntry> current;
     current.reserve(batch_size);
+    // Declared after what its tasks use, so that even on an exception
+    // its destructor drains them before that state goes away.
+    Executor pool(jobs_);
 
     auto flush = [&] {
         if (current.empty()) return;
-        batches.emplace_back();
-        BatchResult& slot = batches.back();
-        pool.submit([items = std::move(current), &slot, &state, &registry, &options,
-                     size_hint]() mutable {
-            size_t successes = 0;
-            for (WorkItem& item : items) {
-                ItemResult res = process_item(item, slot, registry, options.lint_options);
-                if (res.success) ++successes;
-                slot.items.push_back(std::move(res));
+        internal::StreamState& slot = batches.emplace_back();
+        pool.submit([entries = std::move(current), &slot, &dedup, &options, &progress] {
+            std::vector<bool> succeeded;
+            succeeded.reserve(entries.size());
+            for (const CertEntry& entry : entries) {
+                succeeded.push_back(internal::analyze_entry(entry, options, progress, slot));
             }
-            std::lock_guard<std::mutex> lk(state.mu);
-            for (const ItemResult& res : slot.items) {
-                state.outcome[res.index] =
-                    res.success ? EntryOutcome::kSucceeded : EntryOutcome::kFailed;
+            std::lock_guard<std::mutex> lk(dedup.mu);
+            for (size_t i = 0; i < entries.size(); ++i) {
+                dedup.outcome[entries[i].index] =
+                    succeeded[i] ? EntryOutcome::kSucceeded : EntryOutcome::kFailed;
             }
-            // Progress hook, serialized under the merge mutex: report
-            // every crossed interval multiple once, like the serial
-            // ladder does.
-            state.successes_total += successes;
-            if (options.progress && options.progress_interval > 0) {
-                while (state.next_report + options.progress_interval <= state.successes_total) {
-                    state.next_report += options.progress_interval;
-                    options.progress(state.next_report, size_hint);
-                }
-            }
-            state.cv.notify_all();
+            dedup.cv.notify_all();
         });
         current = {};
         current.reserve(batch_size);
@@ -189,134 +96,85 @@ void ParallelPipeline::run_batched(CertSource& source, const PipelineOptions& op
     // an earlier delivery of the index succeeded. When that earlier
     // delivery is still in flight, flush and wait for its outcome.
     auto should_process = [&](size_t index) {
-        std::unique_lock<std::mutex> lk(state.mu);
-        auto it = state.outcome.find(index);
-        if (it == state.outcome.end()) return true;
+        std::unique_lock<std::mutex> lk(dedup.mu);
+        auto it = dedup.outcome.find(index);
+        if (it == dedup.outcome.end()) return true;
         if (it->second == EntryOutcome::kInFlight) {
             lk.unlock();
             flush();  // the in-flight copy may still sit in the open batch
             lk.lock();
-            state.cv.wait(lk, [&] {
-                return state.outcome.at(index) != EntryOutcome::kInFlight;
+            dedup.cv.wait(lk, [&] {
+                return dedup.outcome.at(index) != EntryOutcome::kInFlight;
             });
-            it = state.outcome.find(index);
+            it = dedup.outcome.find(index);
         }
         return it->second == EntryOutcome::kFailed;
     };
 
-    // The serial fetch ladder, verbatim — only the parse/lint work is
-    // deferred to batches.
-    bool aborted = false;
-    Error abort_error;
+    // The serial fetch ladder; only the per-entry step is deferred to
+    // batches. Its own counts land after every batch.
+    internal::StreamState fetched;
+    std::optional<Error> abort_error;
     for (;;) {
-        RetryOutcome outcome;
-        auto item = core::retry<std::optional<CertEntry>>(
-            options.retry, clock, [&] { return source.next(); }, &outcome);
-        stats_.retries += outcome.retries;
+        auto item = internal::fetch<std::optional<CertEntry>>(options, fetched,
+                                                             [&] { return source.next(); });
         if (!item.ok()) {
-            stats_.completed = false;
-            stats_.abort_error = item.error();
-            aborted = true;
             abort_error = item.error();
             break;
         }
-        if (outcome.retries > 0) ++stats_.recovered;
         if (!item->has_value()) break;  // end of stream
-        CertEntry entry = std::move(**item);
+        CertEntry& entry = **item;
 
         if (!should_process(entry.index)) {
-            ++stats_.duplicates;
-            ++stats_.recovered;
+            ++fetched.stats.duplicates;
+            ++fetched.stats.recovered;
             continue;
         }
         {
-            std::lock_guard<std::mutex> lk(state.mu);
-            state.outcome[entry.index] = EntryOutcome::kInFlight;
+            std::lock_guard<std::mutex> lk(dedup.mu);
+            dedup.outcome[entry.index] = EntryOutcome::kInFlight;
         }
-        current.push_back({entry.index, entry.meta, std::move(entry.der), entry.view});
+        current.push_back(std::move(entry));
         if (current.size() >= batch_size) flush();
     }
     flush();
     pool.wait_idle();
 
-    // Deterministic merge: batches in submission order, items in
-    // delivery order — the exact interleaving the serial run emits.
-    analyzed_.reserve(size_hint);
-    for (BatchResult& batch : batches) {
-        for (ItemResult& res : batch.items) {
-            if (res.success) {
-                if (res.analyzed.noncompliant) ++nc_count_;
-                analyzed_.push_back(std::move(res.analyzed));
-                ++stats_.processed;
-            } else {
-                quarantine_.records.push_back(std::move(res.quarantined));
-                ++stats_.quarantined;
-            }
-        }
-        if (!batch.owned.empty()) owned_shards_.push_back(std::move(batch.owned));
-    }
-    if (aborted) {
-        // Serial appends the abort record after everything delivered so
-        // far was resolved; its index is the unique-success count.
-        size_t succeeded = 0;
-        for (const auto& [index, outcome] : state.outcome) {
-            if (outcome == EntryOutcome::kSucceeded) ++succeeded;
-        }
-        quarantine_.records.push_back({succeeded, QuarantineStage::kFetch, abort_error});
-    }
+    for (internal::StreamState& batch : batches) absorb(std::move(batch));
+    // Like the serial ladder, the abort record follows everything
+    // delivered before it; its index is the unique-success count.
+    if (abort_error) fetched.abort(stats().processed, std::move(*abort_error));
+    absorb(std::move(fetched));
 }
 
 void ParallelPipeline::run_sharded(ctlog::LogSource& log,
                                    std::vector<ctlog::ShardCheckpoint> shards,
-                                   const PipelineOptions& options,
-                                   const ParallelOptions& parallel) {
-    const lint::Registry& registry =
-        options.registry != nullptr ? *options.registry : lint::default_registry();
-    core::Clock& clock = options.clock != nullptr ? *options.clock : core::system_clock();
-    jobs_ = parallel.jobs != 0 ? parallel.jobs : Executor::default_concurrency();
-
+                                   const PipelineOptions& options) {
     if (shards.empty()) {
-        RetryOutcome outcome;
-        auto sth = core::retry<ctlog::SignedTreeHead>(
-            options.retry, clock, [&] { return log.latest_tree_head(); }, &outcome);
-        stats_.retries += outcome.retries;
-        if (!sth.ok()) {
-            stats_.completed = false;
-            stats_.abort_error = sth.error();
-            quarantine_.records.push_back({0, QuarantineStage::kFetch, sth.error()});
-            return;
-        }
-        if (outcome.retries > 0) ++stats_.recovered;
-        const size_t shard_count = parallel.shards != 0 ? parallel.shards : jobs_;
-        for (const ctlog::ShardRange& range : ctlog::shard_ranges(sth->tree_size, shard_count)) {
+        internal::StreamState head;
+        auto sth = internal::fetch<ctlog::SignedTreeHead>(options, head,
+                                                          [&] { return log.latest_tree_head(); });
+        if (!sth.ok()) head.abort(0, sth.error());
+        absorb(std::move(head));
+        if (!sth.ok()) return;
+        for (const ctlog::ShardRange& range : ctlog::shard_ranges(sth->tree_size, jobs_)) {
             shards.push_back({range, range.begin, false});
         }
     }
     shard_checkpoints_ = std::move(shards);
 
-    // Serialize the progress hook across shards; each shard reports
-    // whole intervals, accumulated into one global counter.
-    std::mutex progress_mu;
-    size_t progress_total = 0;
-    size_t total_remaining = 0;
-    for (const ctlog::ShardCheckpoint& cp : shard_checkpoints_) total_remaining += cp.remaining();
-    PipelineOptions shard_options = options;
-    if (options.progress && options.progress_interval > 0) {
-        shard_options.progress = [&](size_t, size_t) {
-            std::lock_guard<std::mutex> lk(progress_mu);
-            progress_total += options.progress_interval;
-            options.progress(progress_total, total_remaining);
-        };
-    }
+    size_t remaining = 0;
+    for (const ctlog::ShardCheckpoint& cp : shard_checkpoints_) remaining += cp.remaining();
+    internal::ProgressCounter progress(options, remaining);
 
     std::vector<internal::StreamState> states(shard_checkpoints_.size());
     {
         Executor pool(jobs_);
         for (size_t i = 0; i < shard_checkpoints_.size(); ++i) {
             if (shard_checkpoints_[i].completed) continue;
-            pool.submit([this, i, &log, &states, &shard_options, &registry, &clock] {
+            pool.submit([this, i, &log, &states, &options, &progress] {
                 LogCertSource source(log, shard_checkpoints_[i]);
-                internal::run_stream(source, shard_options, registry, clock, states[i]);
+                internal::run_stream(source, options, progress, states[i]);
                 // An aborted stream leaves the cursor at the failing
                 // entry, so completed stays false and resume retries it.
                 shard_checkpoints_[i] = source.checkpoint();
@@ -325,25 +183,9 @@ void ParallelPipeline::run_sharded(ctlog::LogSource& log,
         pool.wait_idle();
     }
 
-    // Deterministic merge: shards are contiguous index ranges, so
-    // concatenating them in range order reproduces global log order.
-    for (internal::StreamState& s : states) {
-        for (AnalyzedCert& a : s.analyzed) analyzed_.push_back(std::move(a));
-        if (!s.owned.empty()) owned_shards_.push_back(std::move(s.owned));
-        for (QuarantineRecord& r : s.quarantine.records) {
-            quarantine_.records.push_back(std::move(r));
-        }
-        nc_count_ += s.nc_count;
-        stats_.processed += s.stats.processed;
-        stats_.recovered += s.stats.recovered;
-        stats_.quarantined += s.stats.quarantined;
-        stats_.retries += s.stats.retries;
-        stats_.duplicates += s.stats.duplicates;
-        if (!s.stats.completed) {
-            stats_.completed = false;
-            if (stats_.abort_error.code.empty()) stats_.abort_error = s.stats.abort_error;
-        }
-    }
+    // Shards are contiguous index ranges, so absorbing them in range
+    // order reproduces global log order.
+    for (internal::StreamState& state : states) absorb(std::move(state));
 }
 
 }  // namespace unicert::core

@@ -1,31 +1,32 @@
 // unicert/core/parallel_pipeline.h
 //
 // The parallel compliance pipeline: shard a certificate stream across
-// the work-stealing Executor and merge shard results with a
-// deterministic, input-order-respecting reducer, so that for every
-// (corpus, lint set, thread count, fault plan) the emitted report,
-// stats, and quarantine list are byte-identical to the serial
-// CompliancePipeline. Two ingestion shapes:
+// the work-stealing Executor and absorb shard results in input order,
+// so that for every (corpus, lint set, thread count, fault plan) the
+// emitted report, stats, and quarantine list are byte-identical to the
+// serial CompliancePipeline. Every path runs the same per-entry step
+// (internal::analyze_entry) and shares one progress counter. Two
+// ingestion shapes:
 //
 //  * CertSource: a generic pull stream is inherently serial, so the
-//    constructor thread runs the exact serial fetch/retry/dedup ladder
-//    and fans parse + lint (the hot path) out in bounded batches.
-//    Batches carry sequence tags; the reducer reassembles results in
-//    delivery order. Because dedup decisions depend on whether an
-//    earlier delivery of the same index succeeded (a poison copy fails
-//    parse; the intact original must then be processed), the fetch
-//    thread stalls on the rare in-flight-index collision until that
-//    entry's outcome is known — the serial decision, reproduced.
+//    constructor thread runs the serial fetch/retry/dedup ladder and
+//    fans the per-entry step (the hot path) out in batches sized from
+//    the stream's size hint. Batches are absorbed in submission order,
+//    then the fetch thread's own counts, so an abort record comes last.
+//    Because dedup decisions depend on whether an earlier delivery of
+//    the same index succeeded (a poison copy fails parse; the intact
+//    original must then be processed), the fetch thread stalls on the
+//    rare in-flight-index collision until that entry's outcome is
+//    known — the serial decision, reproduced.
 //
 //  * ctlog::LogSource: entry fetches are random-access, so the log
-//    shards into contiguous ranges (ctlog::shard_ranges) and each
-//    shard runs the full streaming ladder — fetch, retry, parse, lint,
-//    quarantine — concurrently via internal::run_stream over its own
-//    LogCertSource. Shards merge in range order (= log order), and
-//    each exposes a ShardCheckpoint so an aborted pass resumes per
-//    shard (PR 1's resumable-sync property, survived into parallel
-//    ingestion). Requires the LogSource to tolerate concurrent reads
-//    when jobs > 1 (InMemoryLogSource and FaultyLogSource both do).
+//    splits into one contiguous range per job (ctlog::shard_ranges) and
+//    each shard runs the serial ladder, internal::run_stream, over its
+//    own LogCertSource. Shards are absorbed in range order (= log
+//    order), and each exposes a ShardCheckpoint so an aborted pass
+//    resumes per shard. Requires the LogSource to tolerate concurrent
+//    reads when jobs > 1 (InMemoryLogSource and FaultyLogSource both
+//    do).
 //
 // See DESIGN.md §8 for the concurrency model and the reentrancy
 // contract lint rules must satisfy.
@@ -34,18 +35,15 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "ctlog/log_source.h"
 #include "ctlog/shard.h"
 
 namespace unicert::core {
 
 struct ParallelOptions {
-    // Worker threads. 0 = Executor::default_concurrency().
+    // Worker threads, and shards on the LogSource path.
+    // 0 = Executor::default_concurrency().
     size_t jobs = 0;
-    // Entries per lint batch on the CertSource path. 0 = auto (sized
-    // so every worker sees several batches).
-    size_t batch_size = 0;
-    // Shard count on the LogSource path. 0 = jobs.
-    size_t shards = 0;
 };
 
 class ParallelPipeline : public CompliancePipeline {
@@ -73,10 +71,9 @@ public:
     }
 
 private:
-    void run_batched(CertSource& source, const PipelineOptions& options,
-                     const ParallelOptions& parallel);
+    void run_batched(CertSource& source, const PipelineOptions& options);
     void run_sharded(ctlog::LogSource& log, std::vector<ctlog::ShardCheckpoint> shards,
-                     const PipelineOptions& options, const ParallelOptions& parallel);
+                     const PipelineOptions& options);
 
     size_t jobs_ = 1;
     std::vector<ctlog::ShardCheckpoint> shard_checkpoints_;

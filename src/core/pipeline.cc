@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <set>
+#include <unordered_set>
 
 #include "asn1/der.h"
 #include "asn1/time.h"
@@ -182,72 +184,80 @@ Expected<std::optional<CertEntry>> DerFileCertSource::next() {
     return std::optional<CertEntry>(std::move(entry));
 }
 
-void CompliancePipeline::ingest(const ctlog::CorpusCert& cert, const lint::Registry& registry,
-                                const lint::RunOptions& options) {
-    AnalyzedCert a;
-    a.cert = &cert;
-    a.report = lint::run_lints(cert.cert, registry, options);
-    a.noncompliant = a.report.noncompliant();
-    if (a.noncompliant) ++nc_count_;
-    analyzed_.push_back(std::move(a));
-    ++stats_.processed;
-}
-
-CompliancePipeline::CompliancePipeline(const std::vector<ctlog::CorpusCert>& corpus,
-                                       lint::RunOptions options) {
-    analyzed_.reserve(corpus.size());
-    for (const ctlog::CorpusCert& c : corpus) {
-        ingest(c, lint::default_registry(), options);
-    }
-}
-
 namespace internal {
 
-void run_stream(CertSource& source, const PipelineOptions& options,
-                const lint::Registry& registry, Clock& clock, StreamState& state) {
-    const size_t size_hint = source.size_hint();
-    state.analyzed.reserve(size_hint);
+void StreamState::abort(size_t entry_index, Error error) {
+    stats.completed = false;
+    stats.abort_error = error;
+    quarantine.records.push_back({entry_index, QuarantineStage::kFetch, std::move(error)});
+}
 
-    std::unordered_set<size_t> processed_indices;
-    auto quarantine = [&](size_t index, QuarantineStage stage, Error error) {
-        state.quarantine.records.push_back({index, stage, std::move(error)});
+void ProgressCounter::count_one() {
+    if (!options_.progress || options_.progress_interval == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (++linted_ % options_.progress_interval == 0) options_.progress(linted_, size_hint_);
+}
+
+bool analyze_entry(const CertEntry& entry, const PipelineOptions& options,
+                   ProgressCounter& progress, StreamState& state) {
+    const lint::Registry& registry =
+        options.registry != nullptr ? *options.registry : lint::default_registry();
+    auto quarantine = [&](QuarantineStage stage, Error error) {
+        state.quarantine.records.push_back({entry.index, stage, std::move(error)});
         ++state.stats.quarantined;
+        return false;
     };
-    auto record = [&](const ctlog::CorpusCert& cert, lint::CertReport report) {
-        AnalyzedCert a;
-        a.cert = &cert;
-        a.report = std::move(report);
-        a.noncompliant = a.report.noncompliant();
-        if (a.noncompliant) ++state.nc_count;
-        state.analyzed.push_back(std::move(a));
-        ++state.stats.processed;
-        if (options.progress && options.progress_interval > 0 &&
-            state.stats.processed % options.progress_interval == 0) {
-            options.progress(state.stats.processed, size_hint);
+    // One arena per thread (an Arena is single-threaded) and one scope
+    // per entry, so after the first few wire entries the zero-copy
+    // index allocates nothing.
+    static thread_local Arena arena;
+    ArenaScope scope(arena);
+    std::optional<x509::LazyCertificate> lazy;
+    if (entry.meta == nullptr) {
+        auto indexed = x509::LazyCertificate::index(entry.bytes(), &arena);
+        if (!indexed.ok()) return quarantine(QuarantineStage::kParse, indexed.error());
+        lazy.emplace(std::move(indexed).value());
+    }
+    auto run = [&](const auto& cert) {
+        return lint::run_lints(cert, registry, options.lint_options);
+    };
+    AnalyzedCert a;
+    try {
+        a.report = lazy ? run(*lazy) : run(entry.meta->cert);
+        a.cert = entry.meta;
+        if (lazy) {
+            // Materialized from the same index the lint pass read, so
+            // the kept cert is byte-identical (the parity suite pins this).
+            ctlog::CorpusCert kept;
+            kept.cert = lazy->materialize();
+            a.cert = &state.owned.emplace_back(std::move(kept));
         }
-    };
-    // Per-run arena: one scope per wire certificate, so after the first
-    // few entries the zero-copy index allocates nothing.
-    core::Arena arena;
+    } catch (const std::exception& ex) {
+        return quarantine(QuarantineStage::kLint, Error{"lint_exception", ex.what()});
+    } catch (...) {
+        return quarantine(QuarantineStage::kLint,
+                          Error{"lint_exception", "non-standard exception from lint rule"});
+    }
+    a.noncompliant = a.report.noncompliant();
+    if (a.noncompliant) ++state.nc_count;
+    state.analyzed.push_back(std::move(a));
+    ++state.stats.processed;
+    progress.count_one();
+    return true;
+}
 
+void run_stream(CertSource& source, const PipelineOptions& options, ProgressCounter& progress,
+                StreamState& state) {
+    state.analyzed.reserve(source.size_hint());
+    std::unordered_set<size_t> processed_indices;
     for (;;) {
-        RetryOutcome outcome;
-        auto item = core::retry<std::optional<CertEntry>>(
-            options.retry, clock, [&] { return source.next(); }, &outcome);
-        state.stats.retries += outcome.retries;
+        auto item = fetch<std::optional<CertEntry>>(options, state, [&] { return source.next(); });
         if (!item.ok()) {
-            // Bottom of the ladder: the stream itself failed past the
-            // retry budget — abort with the partial stats preserved.
-            state.stats.completed = false;
-            state.stats.abort_error = item.error();
-            state.quarantine.records.push_back(
-                {processed_indices.size(), QuarantineStage::kFetch, item.error()});
+            state.abort(processed_indices.size(), item.error());
             break;
         }
-        if (outcome.retries > 0) ++state.stats.recovered;
         if (!item->has_value()) break;  // end of stream
-        CertEntry entry = std::move(**item);
-
+        const CertEntry& entry = **item;
         if (processed_indices.contains(entry.index)) {
             // Redelivery of an already-aggregated entry (duplicate or
             // regressed stream view): suppress, never double-count.
@@ -255,66 +265,44 @@ void run_stream(CertSource& source, const PipelineOptions& options,
             ++state.stats.recovered;
             continue;
         }
-
-        if (entry.meta == nullptr) {
-            // Wire entry: zero-copy index + lazy lint over the raw
-            // bytes; the owning Certificate is only materialized after
-            // the lint pass succeeds, from the same index (identical
-            // bytes by construction — the parity suite pins this).
-            ArenaScope scope(arena);
-            auto lazy = x509::LazyCertificate::index(entry.bytes(), &arena);
-            if (!lazy.ok()) {
-                quarantine(entry.index, QuarantineStage::kParse, lazy.error());
-                continue;
-            }
-            try {
-                lint::CertReport report =
-                    lint::run_lints(*lazy, registry, options.lint_options);
-                ctlog::CorpusCert materialized;
-                materialized.cert = lazy->materialize();
-                state.owned.push_back(std::move(materialized));
-                record(state.owned.back(), std::move(report));
-            } catch (const std::exception& ex) {
-                quarantine(entry.index, QuarantineStage::kLint,
-                           Error{"lint_exception", ex.what()});
-                continue;
-            } catch (...) {
-                quarantine(entry.index, QuarantineStage::kLint,
-                           Error{"lint_exception", "non-standard exception from lint rule"});
-                continue;
-            }
-        } else {
-            try {
-                record(*entry.meta,
-                       lint::run_lints(entry.meta->cert, registry, options.lint_options));
-            } catch (const std::exception& ex) {
-                quarantine(entry.index, QuarantineStage::kLint,
-                           Error{"lint_exception", ex.what()});
-                continue;
-            } catch (...) {
-                quarantine(entry.index, QuarantineStage::kLint,
-                           Error{"lint_exception", "non-standard exception from lint rule"});
-                continue;
-            }
-        }
-        processed_indices.insert(entry.index);
+        if (analyze_entry(entry, options, progress, state)) processed_indices.insert(entry.index);
     }
 }
 
 }  // namespace internal
 
-CompliancePipeline::CompliancePipeline(CertSource& source, PipelineOptions options) {
-    const lint::Registry& registry =
-        options.registry != nullptr ? *options.registry : lint::default_registry();
-    core::Clock& clock = options.clock != nullptr ? *options.clock : core::system_clock();
+CompliancePipeline::CompliancePipeline(const std::vector<ctlog::CorpusCert>& corpus,
+                                       lint::RunOptions options) {
+    VectorCertSource source(corpus);
+    PipelineOptions stream_options;
+    stream_options.lint_options = std::move(options);
+    *this = CompliancePipeline(source, std::move(stream_options));
+}
 
+CompliancePipeline::CompliancePipeline(CertSource& source, PipelineOptions options) {
+    internal::ProgressCounter progress(options, source.size_hint());
     internal::StreamState state;
-    internal::run_stream(source, options, registry, clock, state);
-    analyzed_ = std::move(state.analyzed);
-    owned_ = std::move(state.owned);  // deque move keeps element addresses stable
-    nc_count_ = state.nc_count;
-    stats_ = std::move(state.stats);
-    quarantine_ = std::move(state.quarantine);
+    internal::run_stream(source, options, progress, state);
+    absorb(std::move(state));
+}
+
+void CompliancePipeline::absorb(internal::StreamState&& state) {
+    analyzed_.insert(analyzed_.end(), std::make_move_iterator(state.analyzed.begin()),
+                     std::make_move_iterator(state.analyzed.end()));
+    owned_.splice(owned_.end(), state.owned);
+    quarantine_.records.insert(quarantine_.records.end(),
+                               std::make_move_iterator(state.quarantine.records.begin()),
+                               std::make_move_iterator(state.quarantine.records.end()));
+    nc_count_ += state.nc_count;
+    stats_.processed += state.stats.processed;
+    stats_.recovered += state.stats.recovered;
+    stats_.quarantined += state.stats.quarantined;
+    stats_.retries += state.stats.retries;
+    stats_.duplicates += state.stats.duplicates;
+    if (!state.stats.completed && stats_.completed) {
+        stats_.completed = false;
+        stats_.abort_error = std::move(state.stats.abort_error);
+    }
 }
 
 double CompliancePipeline::noncompliance_rate() const noexcept {

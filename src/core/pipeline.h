@@ -8,12 +8,12 @@
 // (Figure 4) — plus the Subject-variant detector behind Table 3.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/expected.h"
@@ -250,29 +250,75 @@ struct PipelineOptions {
 
 namespace internal {
 
-// Everything one streaming ingestion run produces. The serial pipeline
-// fills one of these; the parallel pipeline fills one per shard and
-// merges them deterministically (parallel_pipeline.cc).
+// Everything one ingestion run, or one shard or batch of a run,
+// produces. Every path fills these and lands them in the pipeline
+// through CompliancePipeline::absorb, in input order.
 struct StreamState {
     std::vector<AnalyzedCert> analyzed;
-    std::deque<ctlog::CorpusCert> owned;  // wire-parsed certs (stable addresses)
+    // Wire-parsed certs. A list so absorb can splice it without moving
+    // an element: AnalyzedCert::cert points into it.
+    std::list<ctlog::CorpusCert> owned;
     size_t nc_count = 0;
     PipelineStats stats;
     QuarantineReport quarantine;
+
+    // Bottom of the ladder: the stream itself failed past the retry
+    // budget, so the run ends with its partial results kept.
+    void abort(size_t entry_index, Error error);
 };
 
-// The streaming ingestion ladder — retry transient fetch faults, dedup
-// redeliveries by entry index, parse wire entries, quarantine per-cert
-// failures, abort on permanent stream failure — shared verbatim by
-// CompliancePipeline's streaming constructor and by each shard task of
-// the parallel log-ingestion path, so both make identical decisions.
-void run_stream(CertSource& source, const PipelineOptions& options,
-                const lint::Registry& registry, Clock& clock, StreamState& state);
+// The one progress counter of a run, shared by all its shards and
+// batches: each linted certificate counts once run-wide, and every
+// multiple of progress_interval reaches the hook exactly once, in
+// order, under a mutex so calls never overlap.
+class ProgressCounter {
+public:
+    ProgressCounter(const PipelineOptions& options, size_t size_hint)
+        : options_(options), size_hint_(size_hint) {}
+
+    void count_one();
+
+private:
+    const PipelineOptions& options_;
+    size_t size_hint_;
+    std::mutex mu_;
+    size_t linted_ = 0;
+};
+
+// One fetch through options.retry, with its retries and recovery
+// counted into `state`.
+template <typename T>
+Expected<T> fetch(const PipelineOptions& options, StreamState& state,
+                  const std::function<Expected<T>()>& op) {
+    RetryOutcome outcome;
+    Expected<T> result = core::retry<T>(
+        options.retry, options.clock != nullptr ? *options.clock : system_clock(), op, &outcome);
+    state.stats.retries += outcome.retries;
+    if (result.ok() && outcome.retries > 0) ++state.stats.recovered;
+    return result;
+}
+
+// The per-entry step of every ingestion path. A wire entry is indexed
+// zero-copy, linted, and materialized only if linting succeeds; a
+// corpus entry is linted as it is. Records either an AnalyzedCert or a
+// parse/lint quarantine record into `state`; returns true for the
+// former.
+bool analyze_entry(const CertEntry& entry, const PipelineOptions& options,
+                   ProgressCounter& progress, StreamState& state);
+
+// The streaming ladder — retry transient fetch faults, dedup
+// redeliveries by entry index, analyze each new entry, abort on
+// permanent stream failure. Both constructors of CompliancePipeline run
+// it, and so does each shard of the parallel log-ingestion path.
+void run_stream(CertSource& source, const PipelineOptions& options, ProgressCounter& progress,
+                StreamState& state);
 
 }  // namespace internal
 
 class CompliancePipeline {
 public:
+    // In-memory corpus: runs a VectorCertSource through the streaming
+    // ladder with the default registry.
     explicit CompliancePipeline(const std::vector<ctlog::CorpusCert>& corpus,
                                 lint::RunOptions options = {});
 
@@ -302,19 +348,17 @@ public:
     std::vector<VariantGroup> subject_variants() const;      // Table 3
 
 protected:
-    // For ParallelPipeline: construct empty, then fill the state via a
-    // deterministic merge of shard results.
+    // For ParallelPipeline: construct empty, then absorb each shard or
+    // batch in input order.
     CompliancePipeline() = default;
 
-    void ingest(const ctlog::CorpusCert& cert, const lint::Registry& registry,
-                const lint::RunOptions& options);
+    // The one way results enter the pipeline: append `state` after
+    // everything absorbed so far.
+    void absorb(internal::StreamState&& state);
 
+private:
     std::vector<AnalyzedCert> analyzed_;
-    std::deque<ctlog::CorpusCert> owned_;  // wire-parsed certs (stable addresses)
-    // Parallel runs park each shard/batch's wire-parsed certs here;
-    // moving a deque preserves element addresses, so AnalyzedCert::cert
-    // pointers stay valid across the merge.
-    std::vector<std::deque<ctlog::CorpusCert>> owned_shards_;
+    std::list<ctlog::CorpusCert> owned_;  // wire-parsed certs (stable addresses)
     size_t nc_count_ = 0;
     PipelineStats stats_;
     QuarantineReport quarantine_;

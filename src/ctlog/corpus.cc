@@ -590,6 +590,12 @@ std::vector<CorpusCert> CorpusGenerator::generate() {
                     dn.rdns.push_back(std::move(copy));
                 }
                 variant.cert.subject = std::move(dn);
+                // The copied DER still carries the sibling's serial and
+                // Subject; re-sign so the variant's wire form is its own.
+                if (options_.sign_certificates) {
+                    x509::sign_certificate(variant.cert,
+                                           crypto::SimSigner::from_name(issuer.organization));
+                }
                 corpus.push_back(std::move(variant));
             }
         }

@@ -19,35 +19,4 @@ std::vector<ShardRange> shard_ranges(size_t total, size_t shards) {
     return out;
 }
 
-std::string ShardedLogView::name() const {
-    return inner_->name() + "[" + std::to_string(range_.begin) + "," +
-           std::to_string(range_.end) + ")";
-}
-
-Expected<SignedTreeHead> ShardedLogView::latest_tree_head() {
-    auto sth = inner_->latest_tree_head();
-    if (!sth.ok()) return sth;
-    SignedTreeHead clamped = sth.value();
-    if (clamped.tree_size > range_.end) {
-        clamped.tree_size = range_.end;
-        auto root = inner_->root_at(clamped.tree_size);
-        if (!root.ok()) return root.error();
-        clamped.root_hash = root.value();
-    }
-    return clamped;
-}
-
-Expected<RawLogEntry> ShardedLogView::entry_at(size_t index) {
-    if (index < range_.begin || index >= range_.end) {
-        return Error{"out_of_shard", "entry " + std::to_string(index) + " outside shard [" +
-                                         std::to_string(range_.begin) + "," +
-                                         std::to_string(range_.end) + ")"};
-    }
-    return inner_->entry_at(index);
-}
-
-Expected<Digest> ShardedLogView::root_at(size_t tree_size) {
-    return inner_->root_at(tree_size);
-}
-
 }  // namespace unicert::ctlog

@@ -1,11 +1,12 @@
 // unicert/ctlog/shard.h
 //
-// Shardable views over a CT log for parallel ingestion. A log of N
-// entries splits into contiguous, balanced ShardRanges; each shard is
-// consumed independently (its own cursor, retries, quarantine) and
-// carries its own ShardCheckpoint so a parallel ingestion pass aborted
-// in one shard resumes exactly where that shard stopped — the
-// per-shard analogue of the monitor's resumable-sync checkpoint.
+// Sharding a CT log for parallel ingestion. A log of N entries splits
+// into contiguous, balanced ShardRanges; each shard is consumed
+// independently (its own cursor, retries, quarantine) through a
+// core::LogCertSource and carries its own ShardCheckpoint so a parallel
+// ingestion pass aborted in one shard resumes exactly where that shard
+// stopped — the per-shard analogue of the monitor's resumable-sync
+// checkpoint.
 // Shards are contiguous index ranges, so concatenating shard results
 // in range order reproduces the global log order: the property the
 // deterministic-merge invariant (DESIGN.md §8) relies on.
@@ -13,8 +14,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "ctlog/log_source.h"
 
 namespace unicert::ctlog {
 
@@ -47,26 +46,6 @@ struct ShardCheckpoint {
     }
 
     bool operator==(const ShardCheckpoint&) const = default;
-};
-
-// A LogSource restricted to one shard: entry reads outside the range
-// are refused, and the advertised tree head is clamped to range.end so
-// a consumer sized by the head never walks off the shard. Reads
-// delegate to the inner source, so fault decorators stay in effect.
-class ShardedLogView final : public LogSource {
-public:
-    ShardedLogView(LogSource& inner, ShardRange range) : inner_(&inner), range_(range) {}
-
-    const ShardRange& range() const noexcept { return range_; }
-
-    std::string name() const override;
-    Expected<SignedTreeHead> latest_tree_head() override;
-    Expected<RawLogEntry> entry_at(size_t index) override;
-    Expected<Digest> root_at(size_t tree_size) override;
-
-private:
-    LogSource* inner_;
-    ShardRange range_;
 };
 
 }  // namespace unicert::ctlog

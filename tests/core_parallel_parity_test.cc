@@ -147,17 +147,20 @@ TEST_F(ParallelParity, FaultedStreamMatchesSerialByteForByte) {
 }
 
 TEST_F(ParallelParity, TinyBatchesPreserveParity) {
-    // batch_size=1 maximizes interleaving; the merge must still emit
-    // delivery order.
+    // A stream with fewer than 16 entries per worker is dispatched in
+    // one-entry batches, which maximizes interleaving; the merge must
+    // still emit delivery order, faults included.
+    std::vector<ctlog::CorpusCert> slice(corpus_->begin(), corpus_->begin() + 60);
     core::ManualClock serial_clock;
-    faultsim::FaultyCertSource serial_source(*corpus_, faultsim::FaultPlan(chaos_plan(42)));
+    faultsim::FaultyCertSource serial_source(slice, faultsim::FaultPlan(chaos_plan(42)));
     core::CompliancePipeline serial(serial_source, deterministic_options(serial_clock));
+    ASSERT_GT(serial.stats().quarantined, 0u) << "no poison injected";
+    ASSERT_GT(serial.stats().duplicates, 0u) << "no duplicates injected";
     const std::string expected = full_fingerprint(serial);
 
     core::ManualClock clock;
-    faultsim::FaultyCertSource source(*corpus_, faultsim::FaultPlan(chaos_plan(42)));
-    core::ParallelPipeline parallel(source, deterministic_options(clock),
-                                    {.jobs = 4, .batch_size = 1});
+    faultsim::FaultyCertSource source(slice, faultsim::FaultPlan(chaos_plan(42)));
+    core::ParallelPipeline parallel(source, deterministic_options(clock), {.jobs = 4});
     EXPECT_EQ(full_fingerprint(parallel), expected);
 }
 
@@ -321,6 +324,36 @@ TEST(ParallelLogParity, FaultedShardsStillMatchSerial) {
     }
 }
 
+TEST(ParallelLogParity, ProgressCountsRunWideAcrossShards) {
+    ctlog::CtLog log = make_parity_log(80);
+    ctlog::InMemoryLogSource inner(log);
+    const std::vector<size_t> every_25 = {25, 50, 75};
+
+    auto progress_options = [](core::Clock& clock, std::vector<size_t>& reports) {
+        core::PipelineOptions options = deterministic_options(clock);
+        options.progress_interval = 25;
+        options.progress = [&reports](size_t processed, size_t hint) {
+            reports.push_back(processed);
+            EXPECT_EQ(hint, 80u);
+        };
+        return options;
+    };
+
+    std::vector<size_t> serial_reports;
+    core::ManualClock serial_clock;
+    core::LogCertSource serial_source(inner, ctlog::ShardRange{0, 80});
+    core::CompliancePipeline serial(serial_source, progress_options(serial_clock, serial_reports));
+    EXPECT_EQ(serial_reports, every_25);
+
+    // No shard reaches 25 entries at jobs >= 4; the count is run-wide.
+    for (size_t jobs : kJobSweep) {
+        std::vector<size_t> reports;
+        core::ManualClock clock;
+        core::ParallelPipeline parallel(inner, progress_options(clock, reports), {.jobs = jobs});
+        EXPECT_EQ(reports, every_25) << "jobs=" << jobs;
+    }
+}
+
 TEST(ParallelLogParity, AbortedShardResumesFromCheckpoint) {
     ctlog::CtLog log = make_parity_log(40);
     ctlog::InMemoryLogSource inner(log);
@@ -353,8 +386,7 @@ TEST(ParallelLogParity, AbortedShardResumesFromCheckpoint) {
     // completes and shard 1 aborts at its cursor.
     HealableSource source(inner, 25);
     core::ManualClock clock;
-    core::ParallelPipeline first(source, deterministic_options(clock),
-                                 {.jobs = 2, .shards = 2});
+    core::ParallelPipeline first(source, deterministic_options(clock), {.jobs = 2});
     EXPECT_FALSE(first.stats().completed);
     EXPECT_EQ(first.stats().abort_error.code, "source_closed");
     ASSERT_EQ(first.shard_checkpoints().size(), 2u);

@@ -8,6 +8,7 @@
 
 #include "asn1/time.h"
 #include "lint/lint.h"
+#include "x509/parser.h"
 
 namespace unicert::ctlog {
 namespace {
@@ -188,6 +189,25 @@ TEST(Corpus, InjectedDefectsFireTheirExpectedLints) {
         ++checked;
     }
     EXPECT_GT(checked, 10u);
+}
+
+TEST(Corpus, SignedDerParsesBackToInMemoryCert) {
+    // Every wire-form consumer (DER census, CT log) must see the same
+    // certificate the in-memory corpus holds, Table 3 variants included.
+    CorpusGenerator gen({.seed = 7, .scale = 4000.0, .sign_certificates = true});
+    size_t checked = 0;
+    for (const CorpusCert& c : gen.generate()) {
+        auto parsed = x509::parse_certificate(c.cert.der);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+        // DER carries the serial in minimal form.
+        x509::Certificate expected = c.cert;
+        while (expected.serial.size() > 1 && expected.serial.front() == 0) {
+            expected.serial.erase(expected.serial.begin());
+        }
+        EXPECT_TRUE(parsed.value() == expected) << "cert " << checked << " of " << c.issuer_org;
+        ++checked;
+    }
+    EXPECT_GT(checked, 9000u);
 }
 
 TEST(Corpus, LatentDefectsOnlyCountWhenDatesIgnored) {

@@ -1,7 +1,6 @@
-// Shard substrate tests: range partitioning laws, the ShardedLogView
-// clamp, and LogCertSource's cursor/checkpoint discipline — the pieces
-// the parallel pipeline's deterministic merge and per-shard resume are
-// built on.
+// Shard substrate tests: range partitioning laws and LogCertSource's
+// cursor/checkpoint discipline — the pieces the parallel pipeline's
+// deterministic merge and per-shard resume are built on.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -78,47 +77,6 @@ TEST(ShardRanges, MoreShardsThanEntriesCollapses) {
     auto ranges = ctlog::shard_ranges(3, 8);
     ASSERT_EQ(ranges.size(), 3u);
     for (const ctlog::ShardRange& r : ranges) EXPECT_EQ(r.size(), 1u);
-}
-
-// ---- ShardedLogView ----------------------------------------------------------
-
-TEST(ShardedLogView, ClampsHeadAndRefusesOutOfRangeReads) {
-    ctlog::CtLog log = make_log("view-log", 20);
-    ctlog::InMemoryLogSource inner(log);
-    ctlog::ShardedLogView view(inner, {5, 12});
-
-    auto head = view.latest_tree_head();
-    ASSERT_TRUE(head.ok());
-    EXPECT_EQ(head->tree_size, 12u);  // clamped to range.end
-    // The clamped head is consistent: its root matches the inner log's
-    // historical root at that size.
-    auto root = inner.root_at(12);
-    ASSERT_TRUE(root.ok());
-    EXPECT_EQ(head->root_hash, root.value());
-
-    // In-range reads pass through untouched.
-    auto entry = view.entry_at(7);
-    ASSERT_TRUE(entry.ok());
-    EXPECT_EQ(entry->index, 7u);
-    auto raw = inner.entry_at(7);
-    ASSERT_TRUE(raw.ok());
-    EXPECT_EQ(entry->leaf_der, raw->leaf_der);
-
-    // Out-of-range reads are refused on both sides.
-    EXPECT_FALSE(view.entry_at(4).ok());
-    EXPECT_FALSE(view.entry_at(12).ok());
-    EXPECT_EQ(view.entry_at(12).error().code, "out_of_shard");
-
-    EXPECT_NE(view.name().find(inner.name()), std::string::npos);
-}
-
-TEST(ShardedLogView, ShortLogYieldsShortHead) {
-    ctlog::CtLog log = make_log("short-log", 6);
-    ctlog::InMemoryLogSource inner(log);
-    ctlog::ShardedLogView view(inner, {0, 100});
-    auto head = view.latest_tree_head();
-    ASSERT_TRUE(head.ok());
-    EXPECT_EQ(head->tree_size, 6u);  // inner head smaller than range.end
 }
 
 // ---- LogCertSource -----------------------------------------------------------
