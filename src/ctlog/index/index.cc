@@ -143,17 +143,12 @@ IndexGeneration build_index(const store::Store& store, uint64_t epoch) {
         auto cert = x509::parse_certificate(entry.leaf_der);
         bool excluded = !cert.ok() || cert->is_precertificate();
         for (size_t p = 0; p < profiles.size(); ++p) {
-            IndexedRecord record;
+            auto& records = generation.profiles[p].records;
             if (excluded) {
-                record.excluded = true;
+                records.emplace_back().excluded = true;
             } else {
-                DerivedRecord derived = derive_record(profiles[p].caps, cert.value());
-                record.keys = std::move(derived.keys);
-                record.hidden = derived.hidden;
-                record.class_mask = derived.class_mask;
-                record.field_mask = derived.field_mask;
+                records.push_back(index_record(profiles[p].caps, cert.value()));
             }
-            generation.profiles[p].records.push_back(std::move(record));
         }
     }
     for (ProfileIndex& profile : generation.profiles) profile.finalize();

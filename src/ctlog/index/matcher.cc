@@ -112,6 +112,56 @@ DerivedRecord derive_record(const MonitorCapabilities& caps, const x509::Certifi
     return record;
 }
 
+IndexedRecord index_record(const MonitorCapabilities& caps, const x509::Certificate& cert) {
+    DerivedRecord derived = derive_record(caps, cert);
+    IndexedRecord record;
+    record.keys = std::move(derived.keys);
+    record.hidden = derived.hidden;
+    record.class_mask = derived.class_mask;
+    record.field_mask = derived.field_mask;
+    return record;
+}
+
+std::vector<size_t> lookup(const ProfileIndex& profile, const MonitorCapabilities& caps,
+                           std::string_view needle) {
+    std::vector<size_t> out;
+    if (!caps.fuzzy_search) {
+        auto it = std::lower_bound(
+            profile.exact.begin(), profile.exact.end(), needle,
+            [](const auto& kv, std::string_view n) { return kv.first < n; });
+        if (it != profile.exact.end() && it->first == needle) {
+            out.assign(it->second.begin(), it->second.end());
+        }
+        return out;
+    }
+    if (needle.size() < 3) {
+        // Too short for trigram pruning: verify over every record with
+        // at least one key (an empty fuzzy needle matches all of them).
+        for (uint32_t id : profile.searchable_ids) {
+            if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
+        }
+        return out;
+    }
+    // A key containing the needle contains every trigram of the needle,
+    // so any trigram's posting list is a complete candidate set; verify
+    // the smallest one.
+    const std::vector<uint32_t>* smallest = nullptr;
+    for (size_t i = 0; i + 3 <= needle.size(); ++i) {
+        uint32_t trigram = pack_trigram(needle, i);
+        auto it = std::lower_bound(
+            profile.trigrams.begin(), profile.trigrams.end(), trigram,
+            [](const auto& kv, uint32_t t) { return kv.first < t; });
+        if (it == profile.trigrams.end() || it->first != trigram) return out;
+        if (smallest == nullptr || it->second.size() < smallest->size()) {
+            smallest = &it->second;
+        }
+    }
+    for (uint32_t id : *smallest) {
+        if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
+    }
+    return out;
+}
+
 std::optional<QueryRejection> validate_query(const MonitorCapabilities& caps,
                                              std::string_view pattern) {
     if (!is_ascii_only(pattern) && !caps.unicode_search) {

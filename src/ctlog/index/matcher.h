@@ -3,11 +3,12 @@
 // The single semantic core behind every Table 6 monitor capability:
 // key derivation (which searchable strings a certificate contributes,
 // per profile), query input validation (Unicode/Punycode/U-label
-// refusals), and the exact-vs-fuzzy match predicate. Monitor's scan
-// path and the persistent index's lookup path both route through these
-// functions, so the two can never drift — the scan-vs-index parity
-// suite asserts byte-identical answers and this module is why that
-// property is structural rather than coincidental.
+// refusals), the exact-vs-fuzzy match predicate, and the lookup over
+// one profile's index. Monitor, the query service's index rung and its
+// scan paths all route through these functions, so they can never
+// drift — the scan-vs-index parity suite asserts byte-identical answers
+// and this module is why that property is structural rather than
+// coincidental.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ctlog/index/format.h"
 #include "ctlog/monitor.h"
 #include "x509/certificate.h"
 
@@ -63,6 +65,18 @@ struct DerivedRecord {
 // semantics Monitor::index has always applied (CN quirks, SAN names,
 // subject attributes, special-Unicode hiding).
 DerivedRecord derive_record(const MonitorCapabilities& caps, const x509::Certificate& cert);
+
+// The record a profile's index holds for `cert`: derive_record's keys,
+// hidden bit and masks.
+IndexedRecord index_record(const MonitorCapabilities& caps, const x509::Certificate& cert);
+
+// ---- index lookup ----------------------------------------------------------
+
+// Ascending ids of the records in the finalized `profile` whose keys
+// match `needle` (already folded by `fold`) under `caps`. Hidden and
+// excluded records never match.
+std::vector<size_t> lookup(const ProfileIndex& profile, const MonitorCapabilities& caps,
+                           std::string_view needle);
 
 // ---- query validation ------------------------------------------------------
 

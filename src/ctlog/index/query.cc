@@ -30,15 +30,12 @@ const char* query_path_name(QueryPath path) noexcept {
     return "unknown";
 }
 
-QueryService::QueryService(core::Fs& fs, store::Store& store, QueryServiceOptions options)
-    : fs_(&fs), store_(&store), options_(options) {}
+QueryService::QueryService(core::Fs& fs, store::Store& store) : fs_(&fs), store_(&store) {}
 
-Status QueryService::refresh() {
-    std::unique_lock lock(mutex_);
-    uint64_t epoch = next_epoch(*fs_, store_->dir());
-    auto generation = std::make_shared<IndexGeneration>(build_index(*store_, epoch));
-    Status published =
-        publish_index(*fs_, store_->dir(), *generation, options_.keep_generations);
+Status QueryService::rebuild() {
+    auto generation =
+        std::make_shared<IndexGeneration>(build_index(*store_, next_epoch(*fs_, store_->dir())));
+    Status published = publish_index(*fs_, store_->dir(), *generation);
     // The in-memory snapshot is installed even when the durable publish
     // failed: readers get fast exact answers either way, and the next
     // refresh (or fsck-triggered rebuild) retries the disk.
@@ -46,14 +43,14 @@ Status QueryService::refresh() {
     return published;
 }
 
+Status QueryService::refresh() {
+    std::unique_lock lock(mutex_);
+    return rebuild();
+}
+
 Status QueryService::ingest(std::span<const store::PendingEntry> batch) {
     std::unique_lock lock(mutex_);
     return store_->append_batch(batch);
-}
-
-size_t QueryService::store_size() const {
-    std::shared_lock lock(mutex_);
-    return store_->size();
 }
 
 IndexFsckReport QueryService::last_fsck() const {
@@ -77,238 +74,108 @@ std::shared_ptr<const IndexGeneration> QueryService::ensure_generation(QueryPath
     if (loaded) {
         slot_.publish(loaded);
         path = QueryPath::kIndex;
+    } else {
+        // Rung 2: rebuild from the authoritative store. The rebuilt
+        // generation is correct by construction; the durable republish
+        // is best-effort (a failing disk must not block answers).
+        Status published = rebuild();
+        path = QueryPath::kRebuiltIndex;
+        degraded = true;
+        reason = summarize_damage(report) +
+                 (published.ok() ? "; rebuilt from store and republished"
+                                 : "; rebuilt from store in memory (republish failed: " +
+                                       published.error().code + ")");
+    }
+    {
         std::lock_guard fl(fsck_mutex_);
         last_fsck_ = std::move(report);
-        return loaded;
     }
-
-    if (!options_.auto_rebuild) {
-        reason = summarize_damage(report);
-        std::lock_guard fl(fsck_mutex_);
-        last_fsck_ = std::move(report);
-        return nullptr;
-    }
-
-    // Rung 2: rebuild from the authoritative store. The rebuilt
-    // generation is correct by construction; the durable republish is
-    // best-effort (a failing disk must not block answers).
-    uint64_t epoch = next_epoch(*fs_, store_->dir());
-    auto rebuilt = std::make_shared<IndexGeneration>(build_index(*store_, epoch));
-    Status published =
-        publish_index(*fs_, store_->dir(), *rebuilt, options_.keep_generations);
-    slot_.publish(rebuilt);
-    path = QueryPath::kRebuiltIndex;
-    degraded = true;
-    reason = summarize_damage(report) +
-             (published.ok() ? "; rebuilt from store and republished"
-                             : "; rebuilt from store in memory (republish failed: " +
-                                   published.error().code + ")");
-    std::lock_guard fl(fsck_mutex_);
-    last_fsck_ = std::move(report);
-    return rebuilt;
+    return slot_.pin();
 }
 
-std::vector<size_t> QueryService::index_lookup(const ProfileIndex& profile,
-                                               const MonitorCapabilities& caps,
-                                               std::string_view needle) {
-    std::vector<size_t> out;
-    if (!caps.fuzzy_search) {
-        auto it = std::lower_bound(
-            profile.exact.begin(), profile.exact.end(), needle,
-            [](const auto& kv, std::string_view n) { return kv.first < n; });
-        if (it != profile.exact.end() && it->first == needle) {
-            out.assign(it->second.begin(), it->second.end());
-        }
-        return out;
-    }
-    if (needle.size() < 3) {
-        // Too short for trigram pruning: verify over every record with
-        // at least one key (an empty fuzzy needle matches all of them).
-        for (uint32_t id : profile.searchable_ids) {
-            if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
-        }
-        return out;
-    }
-    // A key containing the needle contains every trigram of the needle,
-    // so any trigram's posting list is a complete candidate set; verify
-    // the smallest one.
-    const std::vector<uint32_t>* smallest = nullptr;
-    for (size_t i = 0; i + 3 <= needle.size(); ++i) {
-        uint32_t trigram = pack_trigram(needle, i);
-        auto it = std::lower_bound(
-            profile.trigrams.begin(), profile.trigrams.end(), trigram,
-            [](const auto& kv, uint32_t t) { return kv.first < t; });
-        if (it == profile.trigrams.end() || it->first != trigram) return out;
-        if (smallest == nullptr || it->second.size() < smallest->size()) {
-            smallest = &it->second;
-        }
-    }
-    for (uint32_t id : *smallest) {
-        if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
-    }
-    return out;
-}
-
-void QueryService::scan_range(const MonitorCapabilities& caps, std::string_view needle,
-                              size_t from, size_t to, std::vector<size_t>& out) const {
+void QueryService::scan(const MonitorCapabilities& caps, const RecordMatch& matches,
+                        size_t from, std::vector<size_t>& out) const {
     const auto& entries = store_->entries();
-    for (size_t i = from; i < to && i < entries.size(); ++i) {
+    for (size_t i = from; i < entries.size(); ++i) {
         auto cert = x509::parse_certificate(entries[i].leaf_der);
         if (!cert.ok() || cert->is_precertificate()) continue;
-        DerivedRecord record = derive_record(caps, cert.value());
-        if (record.hidden) continue;
-        if (any_key_matches(caps, record.keys, needle)) out.push_back(i);
+        if (matches(derive_record(caps, cert.value()))) out.push_back(i);
     }
 }
 
-void QueryService::scan_range_classes(const MonitorCapabilities& caps, uint8_t field_mask,
-                                      size_t from, size_t to,
-                                      std::vector<size_t>& out) const {
-    const auto& entries = store_->entries();
-    for (size_t i = from; i < to && i < entries.size(); ++i) {
-        auto cert = x509::parse_certificate(entries[i].leaf_der);
-        if (!cert.ok() || cert->is_precertificate()) continue;
-        DerivedRecord record = derive_record(caps, cert.value());
-        if (record.class_mask & field_mask) out.push_back(i);
+ServedQuery QueryService::serve(const MonitorProfile& profile, Options options,
+                                const SectionAnswer& answer, const RecordMatch& matches) {
+    ServedQuery served;
+    served.path = QueryPath::kIndex;
+
+    // Rung 1: the pinned MVCC snapshot, if it still lies on the store's
+    // history. Otherwise rung 2 loads or rebuilds a generation under the
+    // exclusive lock; the store only ever appends, so that generation
+    // still lies on its history once the shared lock is back.
+    auto generation = options.use_index ? slot_.pin() : nullptr;
+    std::shared_lock lock(mutex_);
+    if (options.use_index && !(generation && generation_valid_for(*store_, *generation))) {
+        lock.unlock();
+        generation = ensure_generation(served.path, served.degraded, served.degradation_reason);
+        lock.lock();
     }
+    if (const ProfileIndex* section = generation ? generation->find_profile(profile.name)
+                                                 : nullptr) {
+        served.result.cert_ids = answer(*section);
+        scan(profile.caps, matches, generation->basis_size, served.result.cert_ids);
+        served.epoch = generation->epoch;
+        served.tail_scanned = store_->size() - generation->basis_size;
+        return served;
+    }
+
+    // Rung 3: parse and match every entry.
+    scan(profile.caps, matches, 0, served.result.cert_ids);
+    served.path = QueryPath::kScan;
+    served.degraded = options.use_index;
+    served.degradation_reason =
+        options.use_index ? "index has no section for profile '" + profile.name + "'"
+                          : "index disabled by caller";
+    return served;
 }
 
 ServedQuery QueryService::query(const MonitorProfile& profile, std::string_view pattern,
                                 Options options) {
     const MonitorCapabilities& caps = profile.caps;
-    ServedQuery served;
 
     // Input validation is shared with the scan path (and with Monitor
     // itself), so a refusal is identical on every rung of the ladder.
     if (auto rejection = validate_query(caps, pattern)) {
+        ServedQuery served;
         served.result.query_accepted = false;
         served.result.rejection_reason = std::move(rejection->reason);
         served.path = QueryPath::kRejected;
         return served;
     }
     std::string needle = fold(caps, pattern);
-
-    if (!options.use_index) {
-        std::shared_lock lock(mutex_);
-        scan_range(caps, needle, 0, store_->size(), served.result.cert_ids);
-        served.path = QueryPath::kScan;
-        served.degradation_reason = "index disabled by caller";
-        return served;
-    }
-
-    // Rung 1: the pinned MVCC snapshot, if it still lies on the store's
-    // history.
-    auto generation = slot_.pin();
-    {
-        std::shared_lock lock(mutex_);
-        if (generation && generation_valid_for(*store_, *generation)) {
-            const ProfileIndex* section = generation->find_profile(profile.name);
-            if (section != nullptr) {
-                served.result.cert_ids = index_lookup(*section, caps, needle);
-                scan_range(caps, needle, generation->basis_size, store_->size(),
-                           served.result.cert_ids);
-                served.path = QueryPath::kIndex;
-                served.epoch = generation->epoch;
-                served.tail_scanned = store_->size() - generation->basis_size;
-                return served;
-            }
-        }
-    }
-
-    // Rungs 2/3: load or rebuild, then answer; bottom out at the scan.
-    QueryPath path = QueryPath::kIndex;
-    bool degraded = false;
-    std::string reason;
-    generation = ensure_generation(path, degraded, reason);
-
-    std::shared_lock lock(mutex_);
-    if (generation && generation_valid_for(*store_, *generation)) {
-        if (const ProfileIndex* section = generation->find_profile(profile.name)) {
-            served.result.cert_ids = index_lookup(*section, caps, needle);
-            scan_range(caps, needle, generation->basis_size, store_->size(),
-                       served.result.cert_ids);
-            served.path = path;
-            served.degraded = degraded;
-            served.degradation_reason = std::move(reason);
-            served.epoch = generation->epoch;
-            served.tail_scanned = store_->size() - generation->basis_size;
-            return served;
-        }
-    }
-    scan_range(caps, needle, 0, store_->size(), served.result.cert_ids);
-    served.path = QueryPath::kScan;
-    served.degraded = true;
-    served.degradation_reason =
-        reason.empty() ? "no usable index generation" : std::move(reason);
-    return served;
+    return serve(
+        profile, options,
+        [&](const ProfileIndex& section) { return lookup(section, caps, needle); },
+        [&](const DerivedRecord& record) {
+            return !record.hidden && any_key_matches(caps, record.keys, needle);
+        });
 }
 
 ServedQuery QueryService::special_unicode(const MonitorProfile& profile, uint8_t field_mask,
                                           Options options) {
-    const MonitorCapabilities& caps = profile.caps;
-    ServedQuery served;
-
-    auto merge_postings = [&](const ProfileIndex& section) {
-        std::vector<size_t> ids;
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            if (!(field_mask & (1u << bit))) continue;
-            const auto& postings = section.class_postings[bit];
-            ids.insert(ids.end(), postings.begin(), postings.end());
-        }
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-        return ids;
-    };
-
-    if (!options.use_index) {
-        std::shared_lock lock(mutex_);
-        scan_range_classes(caps, field_mask, 0, store_->size(), served.result.cert_ids);
-        served.path = QueryPath::kScan;
-        served.degradation_reason = "index disabled by caller";
-        return served;
-    }
-
-    auto generation = slot_.pin();
-    {
-        std::shared_lock lock(mutex_);
-        if (generation && generation_valid_for(*store_, *generation)) {
-            if (const ProfileIndex* section = generation->find_profile(profile.name)) {
-                served.result.cert_ids = merge_postings(*section);
-                scan_range_classes(caps, field_mask, generation->basis_size, store_->size(),
-                                   served.result.cert_ids);
-                served.path = QueryPath::kIndex;
-                served.epoch = generation->epoch;
-                served.tail_scanned = store_->size() - generation->basis_size;
-                return served;
+    return serve(
+        profile, options,
+        [&](const ProfileIndex& section) {
+            std::vector<size_t> ids;
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                if (!(field_mask & (1u << bit))) continue;
+                const auto& postings = section.class_postings[bit];
+                ids.insert(ids.end(), postings.begin(), postings.end());
             }
-        }
-    }
-
-    QueryPath path = QueryPath::kIndex;
-    bool degraded = false;
-    std::string reason;
-    generation = ensure_generation(path, degraded, reason);
-
-    std::shared_lock lock(mutex_);
-    if (generation && generation_valid_for(*store_, *generation)) {
-        if (const ProfileIndex* section = generation->find_profile(profile.name)) {
-            served.result.cert_ids = merge_postings(*section);
-            scan_range_classes(caps, field_mask, generation->basis_size, store_->size(),
-                               served.result.cert_ids);
-            served.path = path;
-            served.degraded = degraded;
-            served.degradation_reason = std::move(reason);
-            served.epoch = generation->epoch;
-            served.tail_scanned = store_->size() - generation->basis_size;
-            return served;
-        }
-    }
-    scan_range_classes(caps, field_mask, 0, store_->size(), served.result.cert_ids);
-    served.path = QueryPath::kScan;
-    served.degraded = true;
-    served.degradation_reason =
-        reason.empty() ? "no usable index generation" : std::move(reason);
-    return served;
+            std::sort(ids.begin(), ids.end());
+            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+            return ids;
+        },
+        [&](const DerivedRecord& record) { return (record.class_mask & field_mask) != 0; });
 }
 
 }  // namespace unicert::ctlog::index

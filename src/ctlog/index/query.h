@@ -16,18 +16,22 @@
 //                         stale: the service rebuilds from the store
 //                         in memory, republishes, and answers with
 //                         `degraded` set.
-//   3. linear scan      — the index subsystem is unusable (or disabled
-//                         via options): every entry is parsed and
-//                         matched directly, `degraded` set.
+//   3. linear scan      — the generation has no section for the
+//                         profile, or the caller asked for a scan:
+//                         every entry is parsed and matched directly
+//                         (`degraded` set unless the caller asked).
 //
-// Every rung routes through the same matcher semantics, so the rungs
-// differ ONLY in cost: the kill-point sweep asserts answers are
-// byte-identical to the scan path after any crash. Readers pin a
-// snapshot (core::VersionedSlot) and are never blocked by — or exposed
-// to — a concurrent publish; a single writer ingests through the
-// service while readers keep answering.
+// Name queries and the special-Unicode retrieval descend the same
+// ladder, and every rung routes through the same matcher semantics, so
+// the rungs differ ONLY in cost: the kill-point sweep asserts answers
+// are byte-identical to the scan path after any crash. Readers pin a
+// snapshot (core::VersionedSlot) and never see a half-published
+// generation, but they do wait: rung 1 takes the service lock shared,
+// while ingest() holds it exclusively across append and fsync and
+// refresh() across build and publish.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <span>
@@ -62,11 +66,6 @@ struct ServedQuery {
     size_t tail_scanned = 0;          // entries past the basis scanned linearly
 };
 
-struct QueryServiceOptions {
-    size_t keep_generations = 2;  // publish-time prune depth
-    bool auto_rebuild = true;     // rung 2 enabled
-};
-
 // Per-query knobs.
 struct QueryOptions {
     bool use_index = true;  // false: deliberate scan (not degraded)
@@ -77,7 +76,7 @@ public:
     // The service owns neither; both must outlive it. The store is the
     // authority — the service only ever serves index answers whose
     // basis lies on the store's Merkle history.
-    QueryService(core::Fs& fs, store::Store& store, QueryServiceOptions options = {});
+    QueryService(core::Fs& fs, store::Store& store);
 
     // Build a fresh generation at the current store head, publish it
     // durably, and make it the served snapshot. Errors are publish I/O
@@ -111,31 +110,32 @@ public:
     // or refresh had to look at the index files).
     IndexFsckReport last_fsck() const;
 
-    size_t store_size() const;
-    const store::Store& store() const noexcept { return *store_; }
-
 private:
-    // Take the ladder from "no usable pinned generation" to either a
-    // loaded/rebuilt generation or null; returns the served path.
+    // How a query answers from one profile's section (ids < basis), and
+    // which derived records it matches on the scan paths.
+    using SectionAnswer = std::function<std::vector<size_t>(const ProfileIndex&)>;
+    using RecordMatch = std::function<bool(const DerivedRecord&)>;
+
+    // The degradation ladder behind query() and special_unicode().
+    ServedQuery serve(const MonitorProfile& profile, Options options,
+                      const SectionAnswer& answer, const RecordMatch& matches);
+
+    // Take the ladder from "no usable pinned generation" to a loaded or
+    // rebuilt generation; sets the served path.
     std::shared_ptr<const IndexGeneration> ensure_generation(QueryPath& path,
                                                              bool& degraded,
                                                              std::string& reason);
 
-    // Matching over one profile's acceleration structures (ids < basis).
-    static std::vector<size_t> index_lookup(const ProfileIndex& profile,
-                                            const MonitorCapabilities& caps,
-                                            std::string_view needle);
+    // Build, publish and install a generation at the store head; the
+    // caller holds mutex_ exclusively. Returns the publish status.
+    Status rebuild();
 
-    // Parse-and-match over store entries [from, to); ids appended.
-    void scan_range(const MonitorCapabilities& caps, std::string_view needle, size_t from,
-                    size_t to, std::vector<size_t>& out) const;
-
-    void scan_range_classes(const MonitorCapabilities& caps, uint8_t field_mask, size_t from,
-                            size_t to, std::vector<size_t>& out) const;
+    // Parse-and-match over store entries [from, size); ids appended.
+    void scan(const MonitorCapabilities& caps, const RecordMatch& matches, size_t from,
+              std::vector<size_t>& out) const;
 
     core::Fs* fs_;
     store::Store* store_;
-    QueryServiceOptions options_;
 
     // Guards store access (entries/tree) and all index-dir I/O: shared
     // for readers, exclusive for ingest/refresh/rebuild. The slot has

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "ctlog/index/matcher.h"
-#include "ctlog/log.h"
 #include "x509/parser.h"
 
 namespace unicert::ctlog {
@@ -46,12 +45,9 @@ size_t Monitor::index(const x509::Certificate& cert) {
     // hiding, case folding) live in the shared matcher, which the
     // persistent index derives from too — scan and index paths cannot
     // drift.
-    index::DerivedRecord derived = index::derive_record(profile_.caps, cert);
-    Record record;
-    record.keys = std::move(derived.keys);
-    record.hidden = derived.hidden;
-    records_.push_back(std::move(record));
-    size_t id = records_.size() - 1;
+    index_.records.push_back(index::index_record(profile_.caps, cert));
+    stale_ = true;
+    size_t id = index_.records.size() - 1;
     raise_alerts_for(id);
     return id;
 }
@@ -60,7 +56,7 @@ void Monitor::watch(std::string_view domain) { watches_.emplace_back(domain); }
 
 void Monitor::raise_alerts_for(size_t id) {
     if (watches_.empty()) return;
-    const Record& record = records_[id];
+    const index::IndexedRecord& record = index_.records[id];
     if (record.hidden) return;
     const MonitorCapabilities& caps = profile_.caps;
     for (const std::string& domain : watches_) {
@@ -75,21 +71,6 @@ std::vector<Monitor::Alert> Monitor::drain_alerts() {
     std::vector<Alert> out;
     out.swap(pending_alerts_);
     return out;
-}
-
-size_t Monitor::sync(const CtLog& log) {
-    size_t indexed = 0;
-    const auto& entries = log.entries();
-    for (; checkpoint_.next_index < entries.size(); ++checkpoint_.next_index) {
-        const x509::Certificate& cert = entries[checkpoint_.next_index].certificate;
-        if (cert.is_precertificate()) continue;  // monitors skip poisoned entries
-        index(cert);
-        ++indexed;
-    }
-    checkpoint_.tree_size = entries.size();
-    checkpoint_.root_hash = log.tree_head();
-    checkpoint_.has_head = true;
-    return indexed;
 }
 
 SyncReport Monitor::sync(LogSource& source, const core::RetryPolicy& policy,
@@ -201,7 +182,7 @@ SyncReport Monitor::sync(LogSource& source, const core::RetryPolicy& policy,
     return report;
 }
 
-QueryResult Monitor::query(std::string_view pattern) const {
+QueryResult Monitor::query(std::string_view pattern) {
     QueryResult result;
     const MonitorCapabilities& caps = profile_.caps;
 
@@ -213,16 +194,15 @@ QueryResult Monitor::query(std::string_view pattern) const {
     }
 
     // --- Matching ----------------------------------------------------------
-    std::string needle = index::fold(caps, pattern);
-    for (size_t id = 0; id < records_.size(); ++id) {
-        const Record& record = records_[id];
-        if (record.hidden) continue;
-        if (index::any_key_matches(caps, record.keys, needle)) result.cert_ids.push_back(id);
+    if (stale_) {
+        index_.finalize();
+        stale_ = false;
     }
+    result.cert_ids = index::lookup(index_, caps, index::fold(caps, pattern));
     return result;
 }
 
-bool Monitor::would_find(std::string_view pattern, size_t id) const {
+bool Monitor::would_find(std::string_view pattern, size_t id) {
     QueryResult r = query(pattern);
     return r.query_accepted &&
            std::find(r.cert_ids.begin(), r.cert_ids.end(), id) != r.cert_ids.end();

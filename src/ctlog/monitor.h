@@ -17,6 +17,7 @@
 
 #include "common/expected.h"
 #include "core/resilience.h"
+#include "ctlog/index/format.h"
 #include "ctlog/log_source.h"
 #include "x509/certificate.h"
 
@@ -93,11 +94,6 @@ public:
     // Index one certificate; returns its id within this monitor.
     size_t index(const x509::Certificate& cert);
 
-    // Incrementally sync from a CT log: index every regular (non-
-    // precert) entry not yet consumed. Returns how many were indexed.
-    // This is the monitors-index-CT-logs loop of Section 6.1.
-    size_t sync(const class CtLog& log);
-
     // Checkpointed sync against a (possibly faulty) LogSource: fetches
     // the tree head, verifies the previous checkpoint still lies on the
     // log's history (split-view / truncation signal), then consumes
@@ -112,15 +108,17 @@ public:
     const MonitorCheckpoint& checkpoint() const noexcept { return checkpoint_; }
     void restore_checkpoint(const MonitorCheckpoint& checkpoint) { checkpoint_ = checkpoint; }
 
-    size_t indexed_count() const noexcept { return records_.size(); }
+    size_t indexed_count() const noexcept { return index_.records.size(); }
 
     // Field-based query ("example.com", "xn--mnchen-3ya.example", an O
-    // value, …) per the profile's capabilities.
-    QueryResult query(std::string_view pattern) const;
+    // value, …) per the profile's capabilities, answered by the same
+    // index lookup as the query service's index rung. The first query
+    // after new records finalizes the index.
+    QueryResult query(std::string_view pattern);
 
     // Would a query for `pattern` surface certificate `id`? Convenience
     // for the misleading-scenario bench.
-    bool would_find(std::string_view pattern, size_t id) const;
+    bool would_find(std::string_view pattern, size_t id);
 
     // ---- Watch / alerting (the workflow domain owners actually use) ----
 
@@ -139,15 +137,11 @@ public:
     std::vector<Alert> drain_alerts();
 
 private:
-    struct Record {
-        std::vector<std::string> keys;  // derived searchable keys (index::derive_record)
-        bool hidden = false;            // excluded from results entirely
-    };
-
     void raise_alerts_for(size_t id);
 
     MonitorProfile profile_;
-    std::vector<Record> records_;
+    index::ProfileIndex index_;     // record position == certificate id
+    bool stale_ = false;            // records added since the last finalize()
     MonitorCheckpoint checkpoint_;  // sync cursor + last-seen tree head
     std::vector<std::string> watches_;
     std::vector<Alert> pending_alerts_;

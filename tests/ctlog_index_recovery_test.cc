@@ -3,9 +3,9 @@
 // operation, torn tails, bit flips), after which queries must return
 // answers BYTE-IDENTICAL to the linear scan — the index can cost time,
 // never correctness. Plus the randomized scan-vs-index answer-parity
-// property test (random corpora x all five profiles x fault seeds) and
-// the mid-query corruption scenarios (pinned MVCC snapshots, injected
-// read errors).
+// property test (random corpora x all five profiles x fault seeds), the
+// in-memory Monitor vs service parity property, and the mid-query
+// corruption scenarios (pinned MVCC snapshots, injected read errors).
 #include "ctlog/index/query.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "ctlog/corpus.h"
 #include "faultsim/faulty_fs.h"
 #include "x509/builder.h"
+#include "x509/parser.h"
 
 namespace unicert::ctlog::index {
 namespace {
@@ -59,6 +60,18 @@ const std::vector<std::string>& query_set() {
         "m\xC3\xBCnchen.example",  // raw Unicode: rejected everywhere
     };
     return queries;
+}
+
+// A random corpus: 8-31 entries named by host_for, about 30% without a
+// SAN.
+std::vector<store::PendingEntry> random_corpus(Rng& rng) {
+    size_t count = 8 + rng.below(24);
+    std::vector<store::PendingEntry> batch;
+    for (size_t i = 0; i < count; ++i) {
+        std::string host = host_for(rng.below(1000));
+        batch.push_back(entry_for(host, rng.chance(0.3) ? "" : host, static_cast<int64_t>(i)));
+    }
+    return batch;
 }
 
 // The parity oracle: for every profile and query (and the
@@ -158,14 +171,7 @@ TEST(IndexParityProperty, RandomCorporaRandomDamage) {
         auto store = store::Store::open(fs, "store", options);
         ASSERT_TRUE(store.ok());
 
-        size_t count = 8 + rng.below(24);
-        std::vector<store::PendingEntry> batch;
-        for (size_t i = 0; i < count; ++i) {
-            std::string host = host_for(rng.below(1000));
-            batch.push_back(entry_for(host, rng.chance(0.3) ? "" : host,
-                                      static_cast<int64_t>(i)));
-        }
-        ASSERT_TRUE((*store)->append_batch(batch).ok());
+        ASSERT_TRUE((*store)->append_batch(random_corpus(rng)).ok());
 
         QueryService publisher(fs, **store);
         ASSERT_TRUE(publisher.refresh().ok());
@@ -202,6 +208,44 @@ TEST(IndexParityProperty, RandomCorporaRandomDamage) {
 
         QueryService service(fs, **store);
         expect_full_parity(service, "seed=" + std::to_string(seed));
+    }
+}
+
+TEST(IndexParityProperty, InMemoryMonitorAnswersLikeTheService) {
+    // The in-memory Monitor and the service's index rung share one
+    // lookup: over random corpora, a Monitor fed the store's entries in
+    // order answers every profile and query exactly as the service does.
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(0xA11CE000 + seed);
+        core::MemFs fs;
+        store::StoreOptions options;
+        options.create_if_missing = true;
+        auto store = store::Store::open(fs, "store", options);
+        ASSERT_TRUE(store.ok());
+        ASSERT_TRUE((*store)->append_batch(random_corpus(rng)).ok());
+        QueryService service(fs, **store);
+        ASSERT_TRUE(service.refresh().ok());
+
+        for (const MonitorProfile& profile : monitor_profiles()) {
+            // Every entry parses and none is a precertificate, so Monitor
+            // ids equal store entry ids.
+            Monitor monitor(profile);
+            for (const store::StoredEntry& entry : (*store)->entries()) {
+                auto cert = x509::parse_certificate(entry.leaf_der);
+                ASSERT_TRUE(cert.ok());
+                monitor.index(cert.value());
+            }
+            for (const std::string& q : query_set()) {
+                QueryResult in_memory = monitor.query(q);
+                ServedQuery served = service.query(profile, q);
+                std::string context = "seed=" + std::to_string(seed) +
+                                      " profile=" + profile.name + " q='" + q + "'";
+                EXPECT_EQ(in_memory.query_accepted, served.result.query_accepted) << context;
+                EXPECT_EQ(in_memory.rejection_reason, served.result.rejection_reason)
+                    << context;
+                EXPECT_EQ(in_memory.cert_ids, served.result.cert_ids) << context;
+            }
+        }
     }
 }
 

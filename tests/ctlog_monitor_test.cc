@@ -174,13 +174,15 @@ TEST(Monitor, SyncConsumesLogIncrementally) {
     submit("a.example", false);
     submit("poisoned.example", true);
 
+    InMemoryLogSource source(log);
+    core::ManualClock clock;
     Monitor m(profile("Crt.sh"));
-    EXPECT_EQ(m.sync(log), 1u);  // precert skipped
+    EXPECT_EQ(m.sync(source, {}, &clock).indexed, 1u);  // precert skipped
     EXPECT_EQ(m.indexed_count(), 1u);
 
     submit("b.example", false);
-    EXPECT_EQ(m.sync(log), 1u);  // only the new entry
-    EXPECT_EQ(m.sync(log), 0u);  // idempotent
+    EXPECT_EQ(m.sync(source, {}, &clock).indexed, 1u);  // only the new entry
+    EXPECT_EQ(m.sync(source, {}, &clock).indexed, 0u);  // idempotent
     EXPECT_EQ(m.indexed_count(), 2u);
     EXPECT_FALSE(m.query("b.example").cert_ids.empty());
 }
@@ -219,9 +221,11 @@ TEST(Watch, SyncRaisesAlertsFromLogEntries) {
     x509::sign_certificate(cert, ca);
     log.submit(cert, asn1::make_time(2025, 2, 1));
 
+    InMemoryLogSource source(log);
+    core::ManualClock clock;
     Monitor m(profile("SSLMate Spotter"));
     m.watch("watched.example");
-    m.sync(log);
+    EXPECT_EQ(m.sync(source, {}, &clock).indexed, 1u);
     EXPECT_EQ(m.drain_alerts().size(), 1u);
 }
 
@@ -327,27 +331,6 @@ TEST(Monitor, CheckpointRestoreResumesWithoutDoubleIndexing) {
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.indexed, 1u);
     EXPECT_EQ(restarted.indexed_count(), 1u);
-}
-
-TEST(Monitor, LegacySyncAndLogSourceSyncShareTheCheckpoint) {
-    CtLog log("shared-log");
-    crypto::SimSigner ca = crypto::SimSigner::from_name("Shared CA");
-    auto submit = [&](const std::string& host) {
-        x509::Certificate cert = cert_with_cn_san(host, host);
-        x509::sign_certificate(cert, ca);
-        log.submit(cert, asn1::make_time(2025, 2, 1));
-    };
-    submit("a.example");
-    Monitor m(profile("Crt.sh"));
-    EXPECT_EQ(m.sync(log), 1u);  // legacy path advances the cursor
-
-    submit("b.example");
-    InMemoryLogSource source(log);
-    core::ManualClock clock;
-    SyncReport report = m.sync(source, {}, &clock);
-    EXPECT_TRUE(report.completed);
-    EXPECT_EQ(report.indexed, 1u);  // no re-index of a.example
-    EXPECT_EQ(m.indexed_count(), 2u);
 }
 
 TEST(Monitor, IndexedCountTracksSubmissions) {

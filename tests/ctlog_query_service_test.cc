@@ -157,16 +157,20 @@ TEST(QueryService, RebuildRungHealsDiskDamage) {
     EXPECT_EQ(loaded.result.cert_ids, served.result.cert_ids);
 }
 
-TEST(QueryService, ScanRungWhenRebuildDisabled) {
+TEST(QueryService, ScanRungForProfileWithoutSection) {
+    // A fresh generation covers only the five Table 6 profiles; any
+    // other profile is answered by the scan, which names the reason.
     Fixture fx({"alpha.example"});
-    QueryServiceOptions options;
-    options.auto_rebuild = false;
-    QueryService service(fx.fs, *fx.store, options);
+    QueryService service(fx.fs, *fx.store);
+    ASSERT_TRUE(service.refresh().ok());
+    ASSERT_EQ(service.query(profile("Crt.sh"), "alpha").path, QueryPath::kIndex);
 
-    auto served = service.query(profile("Crt.sh"), "alpha");
+    MonitorProfile custom = profile("Crt.sh");
+    custom.name = "Crt.sh (custom)";
+    auto served = service.query(custom, "alpha");
     EXPECT_EQ(served.path, QueryPath::kScan);
     EXPECT_TRUE(served.degraded);
-    EXPECT_EQ(served.degradation_reason, "no index generation present");
+    EXPECT_EQ(served.degradation_reason, "index has no section for profile 'Crt.sh (custom)'");
     EXPECT_EQ(served.result.cert_ids, (std::vector<size_t>{0}));
     EXPECT_EQ(served.epoch, 0u);
 }
