@@ -5,10 +5,14 @@
 // bench doubles as a gate: any indexed/scan divergence — including on
 // a stale generation that forces the tail-scan merge — fails the run,
 // and the largest store size must show the index actually beating the
-// scan. Emits BENCH_monitor_qps.json so later sessions can spot
-// regressions in either the speedup or the parity gate.
+// scan. Miss queries (empty answers) isolate what every query pays
+// besides its result set; their QPS must stay flat as the store grows
+// (at least half the smallest size's at the largest), or the run fails.
+// Emits BENCH_monitor_qps.json so later runs can spot regressions
+// in the speedup, the miss flatness or the parity gate.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -73,6 +77,7 @@ struct SizeResult {
     double build_s = 0;
     double index_qps = 0;
     double scan_qps = 0;
+    double miss_qps = 0;
     bool parity_ok = true;
 };
 
@@ -179,11 +184,31 @@ SizeResult run_size(size_t entries) {
     }
     elapsed = now_s() - t0;
     result.scan_qps = elapsed > 0 ? count / elapsed : 0;
+
+    // Miss throughput: patterns no corpus entry holds (like the miss in
+    // make_queries), so the answer is empty on every profile. Best of
+    // three 0.1 s windows, which keeps a neighbour's burst on a shared
+    // machine out of the flatness gate.
+    const std::vector<std::string> misses = {"zzz-absent-host.invalid", "qqq-unlogged.invalid"};
+    for (int window = 0; window < 3; ++window) {
+        count = 0;
+        t0 = now_s();
+        do {
+            for (const auto& profile : profiles) {
+                for (const std::string& q : misses) {
+                    (void)service.query(profile, q, {.use_index = true});
+                    ++count;
+                }
+            }
+            elapsed = now_s() - t0;
+        } while (elapsed < 0.1);
+        result.miss_qps = std::max(result.miss_qps, count / elapsed);
+    }
     return result;
 }
 
 void write_json(const std::vector<SizeResult>& results, bool parity_ok,
-                bool index_beats_scan) {
+                bool index_beats_scan, bool miss_flat) {
     std::FILE* f = std::fopen("BENCH_monitor_qps.json", "w");
     if (f == nullptr) return;
     std::fprintf(f, "{\n  \"sizes\": [\n");
@@ -191,14 +216,15 @@ void write_json(const std::vector<SizeResult>& results, bool parity_ok,
         const SizeResult& r = results[i];
         std::fprintf(f,
                      "    {\"entries\": %zu, \"build_s\": %.6f, \"index_qps\": %.1f, "
-                     "\"scan_qps\": %.1f, \"speedup\": %.2f}%s\n",
+                     "\"scan_qps\": %.1f, \"speedup\": %.2f, \"miss_qps\": %.1f}%s\n",
                      r.entries, r.build_s, r.index_qps, r.scan_qps,
-                     r.scan_qps > 0 ? r.index_qps / r.scan_qps : 0.0,
+                     r.scan_qps > 0 ? r.index_qps / r.scan_qps : 0.0, r.miss_qps,
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"parity_ok\": %s,\n", parity_ok ? "true" : "false");
-    std::fprintf(f, "  \"index_at_least_scan\": %s\n", index_beats_scan ? "true" : "false");
+    std::fprintf(f, "  \"index_at_least_scan\": %s,\n", index_beats_scan ? "true" : "false");
+    std::fprintf(f, "  \"miss_qps_flat\": %s\n", miss_flat ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
 }
@@ -225,7 +251,7 @@ int main(int argc, char** argv) {
     }
 
     core::TextTable table({"Entries", "Index build ms", "Index QPS", "Scan QPS", "Speedup",
-                           "Parity"});
+                           "Miss QPS", "Parity"});
     for (const SizeResult& r : results) {
         table.add_row({core::with_commas(r.entries),
                        std::to_string(r.build_s * 1000.0).substr(0, 6),
@@ -233,6 +259,7 @@ int main(int argc, char** argv) {
                        core::with_commas(static_cast<size_t>(r.scan_qps)),
                        std::to_string(r.scan_qps > 0 ? r.index_qps / r.scan_qps : 0.0)
                            .substr(0, 5) + "x",
+                       core::with_commas(static_cast<size_t>(r.miss_qps)),
                        r.parity_ok ? "ok" : "FAIL"});
     }
     std::printf("%s\n", table.to_string().c_str());
@@ -243,7 +270,15 @@ int main(int argc, char** argv) {
     std::printf("index_at_least_scan  | %s (at %zu entries)\n",
                 index_beats_scan ? "true" : "false", largest.entries);
 
-    write_json(results, parity_ok, index_beats_scan);
+    auto by_size = [](const SizeResult& a, const SizeResult& b) { return a.entries < b.entries; };
+    const SizeResult& smallest = *std::min_element(results.begin(), results.end(), by_size);
+    const SizeResult& biggest = *std::max_element(results.begin(), results.end(), by_size);
+    bool miss_flat = biggest.miss_qps >= 0.5 * smallest.miss_qps;
+    std::printf("miss_qps_flat        | %s (%zu entries: %.0f/s, %zu entries: %.0f/s)\n",
+                miss_flat ? "true" : "false", smallest.entries, smallest.miss_qps,
+                biggest.entries, biggest.miss_qps);
+
+    write_json(results, parity_ok, index_beats_scan, miss_flat);
     std::printf("baseline written to BENCH_monitor_qps.json\n");
-    return (parity_ok && index_beats_scan) ? 0 : 1;
+    return (parity_ok && index_beats_scan && miss_flat) ? 0 : 1;
 }

@@ -59,7 +59,8 @@ struct Reader {
 
 }  // namespace
 
-void ProfileIndex::finalize() {
+void ProfileIndex::finalize(const MonitorCapabilities& for_caps) {
+    caps = for_caps;
     exact.clear();
     trigrams.clear();
     searchable_ids.clear();
@@ -73,15 +74,18 @@ void ProfileIndex::finalize() {
             if (record.class_mask & (1u << bit)) class_postings[bit].push_back(id);
         }
         if (!record.searchable()) continue;
+        if (!for_caps.fuzzy_search) {
+            for (const std::string& key : record.keys) {
+                auto& ids = exact_map[key];
+                if (ids.empty() || ids.back() != id) ids.push_back(id);
+            }
+            continue;
+        }
         searchable_ids.push_back(id);
         for (const std::string& key : record.keys) {
-            auto& ids = exact_map[key];
-            if (ids.empty() || ids.back() != id) ids.push_back(id);
-            if (key.size() >= 3) {
-                for (size_t i = 0; i + 3 <= key.size(); ++i) {
-                    auto& tids = trigram_map[pack_trigram(key, i)];
-                    if (tids.empty() || tids.back() != id) tids.push_back(id);
-                }
+            for (size_t i = 0; i + 3 <= key.size(); ++i) {
+                auto& ids = trigram_map[pack_trigram(key, i)];
+                if (ids.empty() || ids.back() != id) ids.push_back(id);
             }
         }
     }

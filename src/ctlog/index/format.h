@@ -42,6 +42,7 @@
 #include "common/bytes.h"
 #include "common/expected.h"
 #include "crypto/sha256.h"
+#include "ctlog/capabilities.h"
 
 namespace unicert::ctlog::index {
 
@@ -72,26 +73,33 @@ struct IndexedRecord {
 
 // One profile's section: records plus the acceleration structures the
 // query path uses. Only `records` is persisted; the acceleration is a
-// pure function of it, rebuilt by finalize() after decode — less
-// format surface for corruption to hide in, and the checksum still
-// covers everything the lookup result depends on.
+// pure function of it and of the profile's capabilities, rebuilt by
+// finalize() after decode — less format surface for corruption to hide
+// in, and the checksum still covers everything the lookup result
+// depends on.
 struct ProfileIndex {
     std::string profile_name;
     std::vector<IndexedRecord> records;  // position == store entry index
 
     // -- acceleration (not serialized; built by finalize()) --
-    // Sorted unique (key -> ascending record ids): O(log n) exact match.
+    // The capabilities the records were derived and finalized under;
+    // unset until finalize(). A section answers only for these.
+    std::optional<MonitorCapabilities> caps;
+    // Exact-match profiles only. Sorted unique (key -> ascending record
+    // ids): O(log n) exact match.
     std::vector<std::pair<std::string, std::vector<uint32_t>>> exact;
-    // Packed byte-trigram -> ascending record ids: fuzzy candidates.
+    // Fuzzy profiles only. Packed byte-trigram -> ascending record ids:
+    // fuzzy candidates.
     std::vector<std::pair<uint32_t, std::vector<uint32_t>>> trigrams;
-    // Ascending ids of records with at least one key (fuzzy verify pool,
-    // short-needle fallback).
+    // Fuzzy profiles only. Ascending ids of records with at least one
+    // key (short-needle fallback).
     std::vector<uint32_t> searchable_ids;
     // Per-FieldClass-bit posting lists over class_mask (special-Unicode
     // retrieval): postings[b] = ids whose class_mask has bit b.
     std::vector<std::vector<uint32_t>> class_postings;
 
-    void finalize();
+    // Build what lookup() reads under `for_caps`, and record them.
+    void finalize(const MonitorCapabilities& for_caps);
 };
 
 // One immutable index generation (the unit the MVCC slot publishes).

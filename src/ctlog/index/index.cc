@@ -99,7 +99,14 @@ std::shared_ptr<const IndexGeneration> scan_generations(core::Fs& fs,
             continue;
         }
         auto owned = std::make_shared<IndexGeneration>(std::move(*generation));
-        for (ProfileIndex& profile : owned->profiles) profile.finalize();
+        // build_index derives each section under its built-in profile's
+        // capabilities. A section under any other name stays unfinalized,
+        // so the service never answers from it.
+        for (ProfileIndex& section : owned->profiles) {
+            for (const MonitorProfile& builtin : monitor_profiles()) {
+                if (builtin.name == section.profile_name) section.finalize(builtin.caps);
+            }
+        }
         newest_valid = std::move(owned);
         report.valid_epoch = newest_valid->epoch;
         report.valid_basis = newest_valid->basis_size;
@@ -151,7 +158,9 @@ IndexGeneration build_index(const store::Store& store, uint64_t epoch) {
             }
         }
     }
-    for (ProfileIndex& profile : generation.profiles) profile.finalize();
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        generation.profiles[p].finalize(profiles[p].caps);
+    }
     return generation;
 }
 

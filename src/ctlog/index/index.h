@@ -64,7 +64,7 @@ struct IndexFsckReport {
 // store's committed entries. Pure function of the store contents plus
 // `epoch`; unparseable leaves and precertificates become excluded
 // records in every profile, exactly as the scan path skips them.
-// Profiles are finalized (acceleration built) on return.
+// Each section is finalized for its profile's capabilities on return.
 IndexGeneration build_index(const store::Store& store, uint64_t epoch);
 
 // 1 + the highest epoch present in the index dir (valid or not), so a
@@ -81,7 +81,8 @@ Status publish_index(core::Fs& fs, const std::string& store_dir,
 // generations are reported kSuperseded; every invalid file is
 // classified in `report`. Returns nullptr (not an error) when no
 // usable generation exists — the caller's degradation ladder decides
-// what happens next. The returned generation is finalized.
+// what happens next. Each section of the returned generation named
+// after a built-in profile is finalized for that profile's capabilities.
 std::shared_ptr<const IndexGeneration> load_latest(core::Fs& fs, const store::Store& store,
                                                    IndexFsckReport* report = nullptr);
 
@@ -90,8 +91,10 @@ std::shared_ptr<const IndexGeneration> load_latest(core::Fs& fs, const store::St
 IndexFsckReport fsck_index(core::Fs& fs, const store::Store& store);
 
 // True when the generation's (basis_size, basis_root) lies on the
-// store's Merkle history — the MVCC validity test a pinned snapshot
-// must re-pass before its answers are trusted.
+// store's Merkle history: O(log n) cached tree nodes. A generation is
+// checked once, when it enters the query service's slot (load_latest
+// checks it; rebuild() derives it from the store itself). The store
+// only appends, so afterwards only basis_size <= size needs checking.
 bool generation_valid_for(const store::Store& store, const IndexGeneration& generation);
 
 }  // namespace unicert::ctlog::index

@@ -64,7 +64,7 @@ std::shared_ptr<const IndexGeneration> QueryService::ensure_generation(QueryPath
     std::unique_lock lock(mutex_);
 
     // Another thread may have healed the slot while we waited.
-    if (auto pinned = slot_.pin(); pinned && generation_valid_for(*store_, *pinned)) {
+    if (auto pinned = slot_.pin(); pinned && pinned->basis_size <= store_->size()) {
         path = QueryPath::kIndex;
         return pinned;
     }
@@ -108,19 +108,22 @@ ServedQuery QueryService::serve(const MonitorProfile& profile, Options options,
     ServedQuery served;
     served.path = QueryPath::kIndex;
 
-    // Rung 1: the pinned MVCC snapshot, if it still lies on the store's
-    // history. Otherwise rung 2 loads or rebuilds a generation under the
-    // exclusive lock; the store only ever appends, so that generation
-    // still lies on its history once the shared lock is back.
+    // Rung 1: the pinned MVCC snapshot. Its basis was checked against
+    // the store's history when it entered the slot (load_latest checks
+    // it, rebuild() derives it from the store), and the store only
+    // appends, so it stays on that history: no Merkle work here, only
+    // the size. Otherwise rung 2 loads or rebuilds a generation under
+    // the exclusive lock.
     auto generation = options.use_index ? slot_.pin() : nullptr;
     std::shared_lock lock(mutex_);
-    if (options.use_index && !(generation && generation_valid_for(*store_, *generation))) {
+    if (options.use_index && !(generation && generation->basis_size <= store_->size())) {
         lock.unlock();
         generation = ensure_generation(served.path, served.degraded, served.degradation_reason);
         lock.lock();
     }
-    if (const ProfileIndex* section = generation ? generation->find_profile(profile.name)
-                                                 : nullptr) {
+    // A section answers only for the capabilities it was built under.
+    const ProfileIndex* section = generation ? generation->find_profile(profile.name) : nullptr;
+    if (section && section->caps == profile.caps) {
         served.result.cert_ids = answer(*section);
         scan(profile.caps, matches, generation->basis_size, served.result.cert_ids);
         served.epoch = generation->epoch;
@@ -132,9 +135,14 @@ ServedQuery QueryService::serve(const MonitorProfile& profile, Options options,
     scan(profile.caps, matches, 0, served.result.cert_ids);
     served.path = QueryPath::kScan;
     served.degraded = options.use_index;
-    served.degradation_reason =
-        options.use_index ? "index has no section for profile '" + profile.name + "'"
-                          : "index disabled by caller";
+    if (!options.use_index) {
+        served.degradation_reason = "index disabled by caller";
+    } else if (section) {
+        served.degradation_reason = "index section for profile '" + profile.name +
+                                    "' was not built for its capabilities";
+    } else {
+        served.degradation_reason = "index has no section for profile '" + profile.name + "'";
+    }
     return served;
 }
 

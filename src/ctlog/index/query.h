@@ -17,7 +17,8 @@
 //                         in memory, republishes, and answers with
 //                         `degraded` set.
 //   3. linear scan      — the generation has no section for the
-//                         profile, or the caller asked for a scan:
+//                         profile or its section was built under other
+//                         capabilities, or the caller asked for a scan:
 //                         every entry is parsed and matched directly
 //                         (`degraded` set unless the caller asked).
 //

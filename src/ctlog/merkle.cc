@@ -1,5 +1,6 @@
 #include "ctlog/merkle.h"
 
+#include <bit>
 #include <string>
 
 namespace unicert::ctlog {
@@ -32,31 +33,52 @@ Digest node_hash(const Digest& left, const Digest& right) {
 }
 
 size_t MerkleTree::append(BytesView entry) {
-    leaves_.push_back(leaf_hash(entry));
-    return leaves_.size() - 1;
+    if (levels_.empty()) levels_.emplace_back();
+    levels_[0].push_back(leaf_hash(entry));
+    // Each level whose length turns even gains a complete pair: hash it
+    // into the level above.
+    for (size_t k = 0; levels_[k].size() % 2 == 0; ++k) {
+        if (k + 1 == levels_.size()) levels_.emplace_back();
+        const std::vector<Digest>& level = levels_[k];
+        levels_[k + 1].push_back(node_hash(level[level.size() - 2], level.back()));
+    }
+    return levels_[0].size() - 1;
+}
+
+void MerkleTree::truncate(size_t n) {
+    if (n >= size()) return;
+    for (size_t k = 0; k < levels_.size(); ++k) levels_[k].resize(n >> k);
+    while (!levels_.empty() && levels_.back().empty()) levels_.pop_back();
 }
 
 Digest MerkleTree::subtree_root(size_t begin, size_t end) const {
     // Public entry points validate ranges; an inverted range here would
     // be an internal bug, answered with the empty-tree hash rather than
     // undefined behaviour.
-    if (begin >= end || end > leaves_.size()) return crypto::sha256({});
-    if (end - begin == 1) return leaves_[begin];
-    size_t k = split_point(end - begin);
+    if (begin >= end || end > size()) return crypto::sha256({});
+    size_t n = end - begin;
+    if ((n & (n - 1)) == 0 && begin % n == 0) {
+        // Complete and aligned: cached at level log2(n).
+        size_t k = static_cast<size_t>(std::countr_zero(n));
+        return levels_[k][begin >> k];
+    }
+    // RFC 6962 splits put every left half on a cached node, so only
+    // the right spine recurses.
+    size_t k = split_point(n);
     return node_hash(subtree_root(begin, begin + k), subtree_root(begin + k, end));
 }
 
 Digest MerkleTree::root() const {
-    if (leaves_.empty()) return crypto::sha256({});
-    return subtree_root(0, leaves_.size());
+    if (size() == 0) return crypto::sha256({});
+    return subtree_root(0, size());
 }
 
 Expected<Digest> MerkleTree::root_at(size_t n) const {
     if (n == 0) return crypto::sha256({});
-    if (n > leaves_.size()) {
+    if (n > size()) {
         return Error{"proof_out_of_range",
                      "tree size " + std::to_string(n) + " exceeds " +
-                         std::to_string(leaves_.size()) + " leaves"};
+                         std::to_string(size()) + " leaves"};
     }
     return subtree_root(0, n);
 }
@@ -75,10 +97,10 @@ void MerkleTree::subtree_proof(size_t target, size_t begin, size_t end,
 }
 
 Expected<std::vector<Digest>> MerkleTree::audit_proof(size_t index, size_t tree_size) const {
-    if (tree_size == 0 || tree_size > leaves_.size()) {
+    if (tree_size == 0 || tree_size > size()) {
         return Error{"proof_out_of_range",
                      "audit proof for tree size " + std::to_string(tree_size) +
-                         " of a " + std::to_string(leaves_.size()) + "-leaf tree"};
+                         " of a " + std::to_string(size()) + "-leaf tree"};
     }
     if (index >= tree_size) {
         return Error{"proof_out_of_range",
@@ -93,10 +115,10 @@ Expected<std::vector<Digest>> MerkleTree::audit_proof(size_t index, size_t tree_
 Expected<std::vector<Digest>> MerkleTree::consistency_proof(size_t m, size_t n) const {
     // RFC 6962 sec. 2.1.2, iterative SUBPROOF.
     std::vector<Digest> proof;
-    if (m == 0 || m > n || n > leaves_.size()) {
+    if (m == 0 || m > n || n > size()) {
         return Error{"proof_out_of_range",
                      "consistency proof " + std::to_string(m) + " -> " + std::to_string(n) +
-                         " invalid for a " + std::to_string(leaves_.size()) + "-leaf tree"};
+                         " invalid for a " + std::to_string(size()) + "-leaf tree"};
     }
     if (m == n) return proof;
 
@@ -128,35 +150,24 @@ Expected<std::vector<Digest>> MerkleTree::consistency_proof(size_t m, size_t n) 
 bool verify_audit_proof(const Digest& leaf, size_t index, size_t tree_size,
                         const std::vector<Digest>& proof, const Digest& root) {
     if (tree_size == 0 || index >= tree_size) return false;
-    Digest hash = leaf;
-    size_t idx = index;
-    size_t size = tree_size;
-    size_t proof_pos = 0;
-    // Walk up the tree mirroring the recursive decomposition.
-    std::vector<bool> rights;  // true when sibling is on the right
-    // Reconstruct the path directions by replaying the splits.
-    {
-        size_t begin = 0, end = tree_size;
-        std::vector<bool> dirs;
-        while (end - begin > 1) {
-            size_t k = split_point(end - begin);
-            if (index < begin + k) {
-                dirs.push_back(true);  // sibling right
-                end = begin + k;
-            } else {
-                dirs.push_back(false);  // sibling left
-                begin += k;
-            }
+    // Replay the splits from the root down: true where the sibling is
+    // on the right.
+    std::vector<bool> sibling_right;
+    for (size_t begin = 0, end = tree_size; end - begin > 1;) {
+        size_t k = split_point(end - begin);
+        sibling_right.push_back(index < begin + k);
+        if (index < begin + k) {
+            end = begin + k;
+        } else {
+            begin += k;
         }
-        rights.assign(dirs.rbegin(), dirs.rend());
     }
-    (void)idx;
-    (void)size;
-    if (rights.size() != proof.size()) return false;
-    for (bool sibling_right : rights) {
-        if (proof_pos >= proof.size()) return false;
-        const Digest& sibling = proof[proof_pos++];
-        hash = sibling_right ? node_hash(hash, sibling) : node_hash(sibling, hash);
+    if (sibling_right.size() != proof.size()) return false;
+    // The proof runs from the leaf up, so fold the splits in reverse.
+    Digest hash = leaf;
+    auto sibling = proof.begin();
+    for (auto right = sibling_right.rbegin(); right != sibling_right.rend(); ++right, ++sibling) {
+        hash = *right ? node_hash(hash, *sibling) : node_hash(*sibling, hash);
     }
     return hash == root;
 }

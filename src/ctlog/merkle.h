@@ -22,13 +22,25 @@ Digest leaf_hash(BytesView entry);
 // Interior node hash: SHA-256(0x01 || left || right).
 Digest node_hash(const Digest& left, const Digest& right);
 
-// Append-only Merkle tree over opaque entries.
+// Append-only Merkle tree over opaque entries (truncate() only rolls
+// back a speculative append). It keeps the hash of every complete,
+// aligned subtree (2^k leaves starting at a multiple of 2^k), computed
+// once on append, so no read ever re-hashes leaves: a complete subtree
+// is one lookup, root_at(n) folds the O(log n) nodes of n's binary
+// decomposition, and a proof takes O(log^2 n) lookups or hashes. The
+// cache costs about one digest per leaf beyond the leaf hashes
+// themselves. Const calls only read, so any number of readers may
+// share a tree while no append or truncate runs.
 class MerkleTree {
 public:
     // Append one entry; returns its leaf index.
     size_t append(BytesView entry);
 
-    size_t size() const noexcept { return leaves_.size(); }
+    // Drop every leaf at index >= n (no-op when n >= size()), so a
+    // speculative append can be rolled back.
+    void truncate(size_t n);
+
+    size_t size() const noexcept { return levels_.empty() ? 0 : levels_[0].size(); }
 
     // Merkle tree head over the current leaves (RFC 6962 sec. 2.1).
     // The empty tree's root is SHA-256 of the empty string.
@@ -52,7 +64,9 @@ private:
     void subtree_proof(size_t target, size_t begin, size_t end,
                        std::vector<Digest>& proof) const;
 
-    std::vector<Digest> leaves_;  // leaf hashes
+    // levels_[k][i] = hash of leaves [i * 2^k, (i + 1) * 2^k); level 0
+    // holds the leaf hashes.
+    std::vector<std::vector<Digest>> levels_;
 };
 
 // Verify an audit path for `leaf` at `index` against `root`.

@@ -195,7 +195,7 @@ QueryResult Monitor::query(std::string_view pattern) {
 
     // --- Matching ----------------------------------------------------------
     if (stale_) {
-        index_.finalize();
+        index_.finalize(caps);
         stale_ = false;
     }
     result.cert_ids = index::lookup(index_, caps, index::fold(caps, pattern));

@@ -9,30 +9,6 @@
 
 namespace unicert::ctlog::store {
 
-// ---- TreeFrontier ----------------------------------------------------------
-
-void TreeFrontier::add_leaf(const Digest& leaf) {
-    nodes_.push_back({0, leaf});
-    while (nodes_.size() >= 2 &&
-           nodes_[nodes_.size() - 1].level == nodes_[nodes_.size() - 2].level) {
-        Node right = nodes_.back();
-        nodes_.pop_back();
-        Node& left = nodes_.back();
-        left.digest = node_hash(left.digest, right.digest);
-        ++left.level;
-    }
-    ++size_;
-}
-
-Digest TreeFrontier::root() const {
-    if (nodes_.empty()) return crypto::sha256(BytesView{});
-    Digest acc = nodes_.back().digest;
-    for (size_t i = nodes_.size() - 1; i-- > 0;) {
-        acc = node_hash(nodes_[i].digest, acc);
-    }
-    return acc;
-}
-
 // ---- recovery scan ---------------------------------------------------------
 
 namespace {
@@ -42,8 +18,7 @@ namespace {
 struct ScanOutcome {
     RecoveryReport report;
     std::vector<StoredEntry> entries;  // committed entries, in order
-    MerkleTree tree;
-    TreeFrontier frontier;
+    MerkleTree tree;                   // over `entries`
     uint64_t next_seq = 0;
     size_t segment_count = 0;           // segments remaining after repair
     size_t frames_in_last_segment = 0;  // committed frames in the kept tail segment
@@ -103,8 +78,10 @@ Expected<ScanOutcome> scan_store(core::Fs& fs, const std::string& dir) {
     size_t post_damage_frames = 0;
     std::vector<QuarantinedRecord> candidates;
 
-    std::vector<StoredEntry> pending;  // entries awaiting their commit frame
-    TreeFrontier spec;                 // frontier over committed + pending
+    // Entries awaiting their commit frame. Their leaves are already in
+    // out.tree, so a commit checks its root in O(log n); leaves whose
+    // commit never verifies are truncated away after the scan.
+    std::vector<StoredEntry> pending;
     uint64_t expected_seq = 0;
     uint64_t committed_next_seq = 0;
     bool have_commit = false;
@@ -200,7 +177,7 @@ Expected<ScanOutcome> scan_store(core::Fs& fs, const std::string& dir) {
                     offset += rec->frame_len;
                     continue;
                 }
-                spec.add_leaf(leaf_hash(entry->leaf_der));
+                out.tree.append(entry->leaf_der);
                 StoredEntry stored;
                 stored.seq = entry->seq;
                 stored.timestamp = entry->timestamp;
@@ -221,17 +198,13 @@ Expected<ScanOutcome> scan_store(core::Fs& fs, const std::string& dir) {
                          " entries precede it");
                     break;
                 }
-                if (commit->root != spec.root()) {
+                if (commit->root != out.tree.root()) {
                     fail("segment " + name + ": commit at offset " + std::to_string(offset) +
                          " carries a root that does not match the entries preceding it");
                     break;
                 }
-                for (StoredEntry& p : pending) {
-                    out.tree.append(p.leaf_der);
-                    out.entries.push_back(std::move(p));
-                }
+                for (StoredEntry& p : pending) out.entries.push_back(std::move(p));
                 pending.clear();
-                out.frontier = spec;
                 committed_next_seq = rec->seq + 1;
                 have_commit = true;
                 last_commit_si = si;
@@ -243,6 +216,8 @@ Expected<ScanOutcome> scan_store(core::Fs& fs, const std::string& dir) {
             offset += rec->frame_len;
         }
     }
+
+    out.tree.truncate(out.entries.size());
 
     const size_t last_si = segments.empty() ? 0 : segments.size() - 1;
     RecoveryState state = RecoveryState::kClean;
@@ -397,7 +372,6 @@ Expected<std::unique_ptr<Store>> Store::open(core::Fs& fs, const std::string& di
     store->recovery_ = s.report;
     store->entries_ = std::move(s.entries);
     store->tree_ = std::move(s.tree);
-    store->frontier_ = s.frontier;
     store->next_seq_ = s.next_seq;
     store->segment_count_ = s.segment_count;
     store->frames_in_segment_ = s.frames_in_last_segment;
@@ -438,9 +412,10 @@ Status Store::append_batch(std::span<const PendingEntry> batch) {
     if (auto st = roll_segment_if_needed(); !st.ok()) return st;
 
     // Build every frame before touching the file, commit record last.
+    // The batch's leaves go into tree_ now, for the commit root; if the
+    // commit does not become durable, latch_failure truncates them away.
     std::vector<Bytes> frames;
     frames.reserve(batch.size() + 1);
-    TreeFrontier next = frontier_;
     uint64_t seq = next_seq_;
     for (const PendingEntry& p : batch) {
         EntryRecord rec;
@@ -448,12 +423,12 @@ Status Store::append_batch(std::span<const PendingEntry> batch) {
         rec.timestamp = p.timestamp;
         rec.leaf_der = p.leaf_der;
         frames.push_back(encode_entry_record(rec));
-        next.add_leaf(leaf_hash(p.leaf_der));
+        tree_.append(p.leaf_der);
     }
     CommitRecord commit;
     commit.seq = seq;
-    commit.tree_size = entries_.size() + batch.size();
-    commit.root = next.root();
+    commit.tree_size = tree_.size();
+    commit.root = tree_.root();
     frames.push_back(encode_commit_record(commit));
 
     if (auto st = write_frames(frames); !st.ok()) return st;
@@ -465,11 +440,9 @@ Status Store::append_batch(std::span<const PendingEntry> batch) {
         stored.seq = next_seq_++;
         stored.timestamp = p.timestamp;
         stored.leaf_der = p.leaf_der;
-        tree_.append(stored.leaf_der);
         entries_.push_back(std::move(stored));
     }
     ++next_seq_;  // the commit frame's sequence number
-    frontier_ = std::move(next);
     frames_in_segment_ += frames.size();
 
     ++commits_since_snapshot_;
@@ -486,7 +459,7 @@ Status Store::append(BytesView leaf_der, int64_t timestamp) {
     return append_batch(std::span<const PendingEntry>(&entry, 1));
 }
 
-Digest Store::tree_head() const { return frontier_.root(); }
+Digest Store::tree_head() const { return tree_.root(); }
 
 Status Store::write_frames(const std::vector<Bytes>& frames) {
     for (const Bytes& frame : frames) {
@@ -543,7 +516,7 @@ Status Store::roll_segment_if_needed() {
 Status Store::write_head_snapshot() {
     HeadSnapshot head;
     head.tree_size = entries_.size();
-    head.root = frontier_.root();
+    head.root = tree_.root();
     Bytes blob = encode_head_snapshot(head);
     BytesView view(blob.data(), blob.size());
     if (auto st = core::atomic_write_file(*fs_, dir_ + "/head.snap", view, dir_); !st.ok()) {
@@ -555,7 +528,9 @@ Status Store::write_head_snapshot() {
 
 Status Store::latch_failure(Error error) {
     // In-memory and on-disk state may now disagree; the only safe
-    // continuation is a fresh Store::open.
+    // continuation is a fresh Store::open. The tree drops the leaves of
+    // a batch whose commit never became durable.
+    tree_.truncate(entries_.size());
     failed_ = true;
     read_only_reason_ = error.code + ": " + error.message;
     if (segment_) {

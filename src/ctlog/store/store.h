@@ -101,30 +101,6 @@ struct PendingEntry {
     int64_t timestamp = 0;
 };
 
-// Incremental RFC 6962 root: keeps the roots of the maximal perfect
-// subtrees covering the leaves so far (at most log2(n) of them) and
-// folds them right-to-left for the MTH. O(log n) per leaf and per
-// root() call, which keeps per-commit root verification linear over a
-// whole recovery scan where MerkleTree::root() would make it quadratic.
-class TreeFrontier {
-public:
-    void add_leaf(const Digest& leaf);
-
-    // MTH over the leaves added so far; SHA-256("") for the empty tree,
-    // identical to MerkleTree::root().
-    Digest root() const;
-
-    size_t size() const noexcept { return size_; }
-
-private:
-    struct Node {
-        size_t level;  // perfect subtree of 2^level leaves
-        Digest digest;
-    };
-    std::vector<Node> nodes_;  // strictly decreasing levels, left to right
-    size_t size_ = 0;
-};
-
 class Store {
 public:
     // Open (and, when needed, recover) the store at `dir`. On success
@@ -185,8 +161,7 @@ private:
     RecoveryReport recovery_;
 
     std::vector<StoredEntry> entries_;  // committed entries, in order
-    MerkleTree tree_;                   // over committed entries (proof queries)
-    TreeFrontier frontier_;             // same leaves (cheap commit roots)
+    MerkleTree tree_;                   // over committed entries: roots, proofs
     uint64_t next_seq_ = 0;             // next frame sequence number
     size_t segment_count_ = 0;
     size_t frames_in_segment_ = 0;      // frames in the open segment

@@ -200,17 +200,29 @@ TEST(Format, FileNameRoundTrip) {
 }
 
 TEST(Format, FinalizeBuildsAcceleration) {
+    // finalize builds only what lookup reads under the given caps.
     IndexGeneration generation = sample_generation();
-    ProfileIndex& p = generation.profiles[0];
-    p.finalize();
+    ProfileIndex exact_only = generation.profiles[0];
+    exact_only.finalize(profile("SSLMate Spotter").caps);
+    EXPECT_EQ(exact_only.caps, profile("SSLMate Spotter").caps);
     // Hidden and excluded records are not searchable.
-    EXPECT_EQ(p.searchable_ids, (std::vector<uint32_t>{0}));
-    ASSERT_EQ(p.exact.size(), 2u);
-    EXPECT_EQ(p.exact[0].first, "alpha.example");  // sorted
-    EXPECT_EQ(p.exact[0].second, (std::vector<uint32_t>{0}));
-    EXPECT_FALSE(p.trigrams.empty());
+    ASSERT_EQ(exact_only.exact.size(), 2u);
+    EXPECT_EQ(exact_only.exact[0].first, "alpha.example");  // sorted
+    EXPECT_EQ(exact_only.exact[0].second, (std::vector<uint32_t>{0}));
+    EXPECT_TRUE(exact_only.trigrams.empty());
+    EXPECT_TRUE(exact_only.searchable_ids.empty());
+
+    ProfileIndex fuzzy = generation.profiles[0];
+    fuzzy.finalize(profile("Crt.sh").caps);
+    EXPECT_EQ(fuzzy.caps, profile("Crt.sh").caps);
+    EXPECT_EQ(fuzzy.searchable_ids, (std::vector<uint32_t>{0}));
+    EXPECT_FALSE(fuzzy.trigrams.empty());
+    EXPECT_TRUE(fuzzy.exact.empty());
+
     // class_postings reflect class_mask even for hidden records.
-    EXPECT_EQ(p.class_postings[0], (std::vector<uint32_t>{1}));  // bit 0 = kFieldCn
+    for (const ProfileIndex* p : {&exact_only, &fuzzy}) {
+        EXPECT_EQ(p->class_postings[0], (std::vector<uint32_t>{1}));  // bit 0 = kFieldCn
+    }
 }
 
 // ---- generation lifecycle --------------------------------------------------
@@ -237,12 +249,25 @@ TEST(Generations, BuildPublishLoadRoundTrip) {
     for (const auto& p : loaded->profiles) {
         EXPECT_EQ(p.records.size(), 3u);
     }
+    // Each section is finalized for its built-in profile's caps: an
+    // exact-only profile holds the exact table, a fuzzy one the trigrams.
+    for (const MonitorProfile& builtin : monitor_profiles()) {
+        const ProfileIndex* section = loaded->find_profile(builtin.name);
+        ASSERT_NE(section, nullptr) << builtin.name;
+        EXPECT_EQ(section->caps, builtin.caps) << builtin.name;
+    }
+    const ProfileIndex* facebook = loaded->find_profile("Facebook Monitor");
+    EXPECT_TRUE(facebook->trigrams.empty());
     // Keys are case-folded at derivation.
-    const ProfileIndex* crtsh = loaded->find_profile("Crt.sh");
-    ASSERT_NE(crtsh, nullptr);
-    EXPECT_FALSE(crtsh->exact.empty());
-    for (const auto& [key, ids] : crtsh->exact) {
+    EXPECT_FALSE(facebook->exact.empty());
+    for (const auto& [key, ids] : facebook->exact) {
         EXPECT_EQ(key, ascii_fold(key));
+    }
+    const ProfileIndex* crtsh = loaded->find_profile("Crt.sh");
+    EXPECT_TRUE(crtsh->exact.empty());
+    EXPECT_FALSE(crtsh->trigrams.empty());
+    for (const IndexedRecord& record : crtsh->records) {
+        for (const std::string& key : record.keys) EXPECT_EQ(key, ascii_fold(key));
     }
 }
 

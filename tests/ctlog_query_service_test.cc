@@ -175,6 +175,76 @@ TEST(QueryService, ScanRungForProfileWithoutSection) {
     EXPECT_EQ(served.epoch, 0u);
 }
 
+// Publishes `foreign` as the only generation in `fx`'s index dir, then
+// checks that a cold service refuses it as stale-basis, rebuilds from
+// its own store, and answers exactly like the scan.
+void expect_foreign_generation_refused(Fixture& fx, const IndexGeneration& foreign) {
+    ASSERT_TRUE(publish_index(fx.fs, fx.store->dir(), foreign).ok());
+    ASSERT_EQ(fsck_index(fx.fs, *fx.store).damage.size(), 1u);
+
+    QueryService service(fx.fs, *fx.store);
+    auto served = service.query(profile("Crt.sh"), "example");
+    EXPECT_EQ(served.path, QueryPath::kRebuiltIndex);
+    EXPECT_TRUE(served.degraded);
+    EXPECT_NE(served.degradation_reason.find("stale-basis"), std::string::npos)
+        << served.degradation_reason;
+    auto scanned = service.query(profile("Crt.sh"), "example", {.use_index = false});
+    EXPECT_EQ(served.result.cert_ids, scanned.result.cert_ids);
+
+    // The slot holds the rebuilt generation, which lies on this store.
+    auto pinned = service.pin();
+    ASSERT_NE(pinned, nullptr);
+    EXPECT_NE(pinned->epoch, foreign.epoch);
+    auto root = fx.store->tree().root_at(pinned->basis_size);
+    ASSERT_TRUE(root.ok());
+    EXPECT_EQ(pinned->basis_root, *root);
+}
+
+TEST(QueryService, ForeignGenerationNeverReachesTheSlot) {
+    // Same size, other entries: only the basis root tells them apart.
+    Fixture fx({"alpha.example", "beta.example"});
+    Fixture other({"gamma.example", "delta.example"});
+    IndexGeneration foreign = build_index(*other.store, 1);
+    ASSERT_EQ(foreign.basis_size, fx.store->size());
+    ASSERT_NE(foreign.basis_root, fx.store->tree_head());
+    expect_foreign_generation_refused(fx, foreign);
+}
+
+TEST(QueryService, GenerationPastStoreSizeNeverReachesTheSlot) {
+    // The same entries and one more: its basis is beyond this store.
+    Fixture fx({"alpha.example", "beta.example"});
+    Fixture longer({"alpha.example", "beta.example", "gamma.example"});
+    IndexGeneration foreign = build_index(*longer.store, 1);
+    ASSERT_GT(foreign.basis_size, fx.store->size());
+    expect_foreign_generation_refused(fx, foreign);
+}
+
+TEST(QueryService, SectionAnswersOnlyForTheCapabilitiesItWasBuiltFor) {
+    // A profile with a built-in name but its own capabilities: the
+    // built-in section folded case, this profile does not, so the
+    // section would miss what the scan finds.
+    Fixture fx({"Shop.Example.com", "other.example"});
+    QueryService service(fx.fs, *fx.store);
+    ASSERT_TRUE(service.refresh().ok());
+
+    MonitorProfile case_sensitive = profile("Facebook Monitor");
+    case_sensitive.caps.case_insensitive = false;
+    auto served = service.query(case_sensitive, "Shop.Example.com");
+    auto scanned = service.query(case_sensitive, "Shop.Example.com", {.use_index = false});
+    EXPECT_EQ(scanned.result.cert_ids, (std::vector<size_t>{0}));
+    EXPECT_EQ(served.result.cert_ids, scanned.result.cert_ids);
+    EXPECT_EQ(served.path, QueryPath::kScan);
+    EXPECT_TRUE(served.degraded);
+    EXPECT_EQ(served.degradation_reason,
+              "index section for profile 'Facebook Monitor' was not built for its "
+              "capabilities");
+
+    // The built-in profile itself is still served by its section.
+    auto builtin = service.query(profile("Facebook Monitor"), "shop.example.com");
+    EXPECT_EQ(builtin.path, QueryPath::kIndex);
+    EXPECT_EQ(builtin.result.cert_ids, (std::vector<size_t>{0}));
+}
+
 TEST(QueryService, RejectedQueriesNeverTouchTheLadder) {
     Fixture fx({"alpha.example"});
     QueryService service(fx.fs, *fx.store);

@@ -73,6 +73,14 @@ WorkloadResult run_workload(faultsim::FaultyFs& fs, uint64_t salt) {
         }
         Status st = (*store)->append_batch(batch);
         if (!st.ok()) {
+            // The failed batch's leaves went into the tree for its commit
+            // root. Whichever op failed, the tree must again cover exactly
+            // the entries the store holds (the batch is among them only
+            // when its commit was durable and a later step failed).
+            MerkleTree committed;
+            for (const StoredEntry& e : (*store)->entries()) committed.append(e.leaf_der);
+            EXPECT_EQ((*store)->tree().size(), (*store)->size()) << "salt " << salt;
+            EXPECT_EQ((*store)->tree_head(), committed.root()) << "salt " << salt;
             for (auto& p : batch) result.inflight.push_back(std::move(p.leaf_der));
             break;
         }

@@ -142,21 +142,6 @@ TEST(Format, CheckpointSnapshotRoundTrip) {
     ASSERT_FALSE(bad.ok());
 }
 
-// ---- TreeFrontier ----------------------------------------------------------
-
-TEST(Frontier, MatchesMerkleTreeRootAtEverySize) {
-    MerkleTree tree;
-    TreeFrontier frontier;
-    EXPECT_EQ(frontier.root(), tree.root());  // empty: SHA-256("")
-    for (int i = 0; i < 130; ++i) {
-        Bytes leaf = bytes_of("leaf-" + std::to_string(i));
-        tree.append(BytesView(leaf.data(), leaf.size()));
-        frontier.add_leaf(leaf_hash(BytesView(leaf.data(), leaf.size())));
-        ASSERT_EQ(frontier.root(), tree.root()) << "size " << i + 1;
-    }
-    EXPECT_EQ(frontier.size(), 130u);
-}
-
 // ---- append / reopen -------------------------------------------------------
 
 TEST(StoreBasics, AppendReopenPreservesEntriesAndRoot) {
