@@ -134,19 +134,6 @@ void BM_LintFullRegistry(benchmark::State& state) {
 }
 BENCHMARK(BM_LintFullRegistry);
 
-void BM_LintFullRegistryLazy(benchmark::State& state) {
-    Bytes der = sample_cert().der;
-    core::Arena arena;
-    for (auto _ : state) {
-        core::ArenaScope scope(arena);
-        auto lazy = x509::LazyCertificate::index(der, &arena);
-        lint::CertReport report = lint::run_lints(*lazy);
-        benchmark::DoNotOptimize(report.findings.size());
-    }
-    state.counters["lints"] = static_cast<double>(lint::default_registry().size());
-}
-BENCHMARK(BM_LintFullRegistryLazy);
-
 void BM_DifferentialInferOneScenario(benchmark::State& state) {
     tlslib::DifferentialRunner runner;
     for (auto _ : state) {

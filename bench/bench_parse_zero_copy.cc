@@ -1,9 +1,9 @@
-// Owned vs zero-copy parse + lint hot path: certs/sec and heap
-// allocation counts for (a) the owning parse_certificate, (b) the
-// arena-backed LazyCertificate index, and (c) both feeding the full /
-// a narrowed lint registry. Every timed configuration is re-checked
-// for report parity against the owned baseline — a speedup that
-// changed a verdict must fail the run, not report a win.
+// Parse + lint hot path: certs/sec and heap allocation counts for
+// (a) the owning parse_certificate, (b) the arena-backed
+// LazyCertificate index, and (c) the owning parse feeding the full /
+// a narrowed lint registry. The parity gate re-checks that every
+// cert's index()->materialize() equals parse_certificate, so a faster
+// index that changed a decoded field fails the run.
 //
 // Emits BENCH_parse_zero_copy.json.
 #include "bench_common.h"
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
-#include <sstream>
 #include <vector>
 
 #include "core/arena.h"
@@ -77,19 +76,13 @@ Phase measure(const std::string& name, size_t certs, int repetitions, Fn&& fn) {
     return phase;
 }
 
-std::string report_key(const lint::CertReport& report) {
-    std::ostringstream out;
-    for (const lint::Finding& f : report.findings) out << f.lint->name << "(" << f.detail << ");";
-    return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     int repetitions = 3;
     if (argc > 1) repetitions = std::max(1, std::atoi(argv[1]));
 
-    bench::print_header("Zero-copy parse + lint hot path — owned vs arena-backed lazy",
+    bench::print_header("Parse + lint hot path — owned parse vs arena-backed index",
                         "DESIGN.md §13 zero-copy decode");
 
     // Wire-form corpus: the zero-copy path starts from DER bytes, so
@@ -131,28 +124,15 @@ int main(int argc, char** argv) {
             (void)lint::run_lints(cert.value(), full);
         }
     }));
-    phases.push_back(measure("index+lint lazy (full registry)", n, repetitions, [&] {
-        for (const Bytes& der : ders) {
-            core::ArenaScope scope(arena);
-            auto lazy = x509::LazyCertificate::index(der, &arena);
-            (void)lint::run_lints(*lazy, full);
-        }
-    }));
     phases.push_back(measure("parse+lint owned (narrow registry)", n, repetitions, [&] {
         for (const Bytes& der : ders) {
             auto cert = x509::parse_certificate(der);
             (void)lint::run_lints(cert.value(), narrow);
         }
     }));
-    phases.push_back(measure("index+lint lazy (narrow registry)", n, repetitions, [&] {
-        for (const Bytes& der : ders) {
-            core::ArenaScope scope(arena);
-            auto lazy = x509::LazyCertificate::index(der, &arena);
-            (void)lint::run_lints(*lazy, narrow);
-        }
-    }));
 
-    // Parity gate (untimed): every cert, both registries, both paths.
+    // Parity gate (untimed): the arena-backed index of every cert must
+    // materialize to exactly the owning parse.
     bool parity = true;
     for (const Bytes& der : ders) {
         auto owned = x509::parse_certificate(der);
@@ -162,14 +142,6 @@ int main(int argc, char** argv) {
             parity = false;
             break;
         }
-        for (const lint::Registry* reg :
-             {&full, static_cast<const lint::Registry*>(&narrow)}) {
-            if (report_key(lint::run_lints(*lazy, *reg)) !=
-                report_key(lint::run_lints(owned.value(), *reg))) {
-                parity = false;
-            }
-        }
-        if (!parity) break;
     }
 
     core::TextTable table({"Phase", "Certs/sec", "Allocs/cert", "Heap B/cert"});
@@ -183,10 +155,6 @@ int main(int argc, char** argv) {
     std::fputs(table.to_string().c_str(), stdout);
     std::printf("\nparse speedup (index vs owned)        | %.2fx\n",
                 phases[0].seconds / phases[1].seconds);
-    std::printf("lint speedup, full registry           | %.2fx\n",
-                phases[2].seconds / phases[3].seconds);
-    std::printf("lint speedup, narrow registry         | %.2fx\n",
-                phases[4].seconds / phases[5].seconds);
     std::printf("parity                                | %s\n", parity ? "OK" : "DIVERGED");
 
     std::FILE* f = std::fopen("BENCH_parse_zero_copy.json", "w");
@@ -204,17 +172,13 @@ int main(int argc, char** argv) {
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f, "  \"parse_speedup\": %.3f,\n", phases[0].seconds / phases[1].seconds);
-        std::fprintf(f, "  \"lint_full_speedup\": %.3f,\n",
-                     phases[2].seconds / phases[3].seconds);
-        std::fprintf(f, "  \"lint_narrow_speedup\": %.3f,\n",
-                     phases[4].seconds / phases[5].seconds);
         std::fprintf(f, "  \"parity\": %s\n}\n", parity ? "true" : "false");
         std::fclose(f);
         std::printf("\nbaseline written to BENCH_parse_zero_copy.json\n");
     }
 
     if (!parity) {
-        std::printf("PARITY FAILURE: lazy path diverged from the owned baseline\n");
+        std::printf("PARITY FAILURE: index+materialize diverged from the owning parse\n");
         return 1;
     }
     return 0;

@@ -95,36 +95,6 @@ Bytes Oid::to_der() const {
     return out;
 }
 
-bool Oid::matches_der(BytesView content) const noexcept {
-    if (arcs_.size() < 2 || content.empty()) return false;
-    // Decode arc-by-arc and compare against arcs_ incrementally; no
-    // allocation either way (this runs per extension probe on the lint
-    // hot path).
-    size_t next = 0;  // index into arcs_ of the next expected arc
-    uint64_t cur = 0;
-    bool in_arc = false;
-    for (uint8_t b : content) {
-        if (!in_arc && b == 0x80) return false;
-        cur = (cur << 7) | (b & 0x7F);
-        if (cur > 0xFFFFFFFFULL) return false;
-        in_arc = true;
-        if ((b & 0x80) == 0) {
-            uint64_t expected;
-            if (next == 0) {
-                expected = static_cast<uint64_t>(arcs_[0]) * 40 + arcs_[1];
-                next = 2;
-            } else {
-                if (next >= arcs_.size()) return false;
-                expected = arcs_[next++];
-            }
-            if (cur != expected) return false;
-            cur = 0;
-            in_arc = false;
-        }
-    }
-    return !in_arc && next == arcs_.size();
-}
-
 std::string Oid::to_string() const {
     std::string out;
     for (size_t i = 0; i < arcs_.size(); ++i) {

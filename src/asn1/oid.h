@@ -32,11 +32,6 @@ public:
     // Encode to DER content octets.
     Bytes to_der() const;
 
-    // True when `content` (DER content octets) encodes exactly this
-    // OID. Allocation-free — the zero-copy extension probe compares
-    // raw OID spans against well-known OIDs without decoding them.
-    bool matches_der(BytesView content) const noexcept;
-
     std::string to_string() const;
 
     bool operator==(const Oid& other) const = default;

@@ -1,8 +1,8 @@
 // unicert/core/arena.h
 //
 // Bump allocator with scope marks — the allocation substrate of the
-// zero-copy parse + lint hot path (DESIGN.md section 13). A streaming
-// loop takes one Arena per worker, opens an ArenaScope per certificate,
+// zero-copy DER index (DESIGN.md section 13). An indexing loop takes
+// one Arena per worker, opens an ArenaScope per certificate,
 // and every per-cert side table (LazyCertificate's extension index,
 // scratch spans) bumps a pointer instead of hitting the global
 // allocator; closing the scope hands the memory straight back to the

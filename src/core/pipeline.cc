@@ -9,10 +9,8 @@
 
 #include "asn1/der.h"
 #include "asn1/time.h"
-#include "core/arena.h"
 #include "unicode/normalize.h"
 #include "unicode/properties.h"
-#include "x509/lazy.h"
 #include "x509/parser.h"
 
 namespace unicert::core {
@@ -207,37 +205,25 @@ bool analyze_entry(const CertEntry& entry, const PipelineOptions& options,
         ++state.stats.quarantined;
         return false;
     };
-    // One arena per thread (an Arena is single-threaded) and one scope
-    // per entry, so after the first few wire entries the zero-copy
-    // index allocates nothing.
-    static thread_local Arena arena;
-    ArenaScope scope(arena);
-    std::optional<x509::LazyCertificate> lazy;
+    std::optional<ctlog::CorpusCert> wire;
     if (entry.meta == nullptr) {
-        auto indexed = x509::LazyCertificate::index(entry.bytes(), &arena);
-        if (!indexed.ok()) return quarantine(QuarantineStage::kParse, indexed.error());
-        lazy.emplace(std::move(indexed).value());
+        auto parsed = x509::parse_certificate(entry.bytes());
+        if (!parsed.ok()) return quarantine(QuarantineStage::kParse, parsed.error());
+        wire.emplace().cert = std::move(parsed).value();
     }
-    auto run = [&](const auto& cert) {
-        return lint::run_lints(cert, registry, options.lint_options);
-    };
+    const ctlog::CorpusCert& cert = wire ? *wire : *entry.meta;
     AnalyzedCert a;
     try {
-        a.report = lazy ? run(*lazy) : run(entry.meta->cert);
-        a.cert = entry.meta;
-        if (lazy) {
-            // Materialized from the same index the lint pass read, so
-            // the kept cert is byte-identical (the parity suite pins this).
-            ctlog::CorpusCert kept;
-            kept.cert = lazy->materialize();
-            a.cert = &state.owned.emplace_back(std::move(kept));
-        }
+        a.report = lint::run_lints(cert.cert, registry, options.lint_options);
     } catch (const std::exception& ex) {
         return quarantine(QuarantineStage::kLint, Error{"lint_exception", ex.what()});
     } catch (...) {
         return quarantine(QuarantineStage::kLint,
                           Error{"lint_exception", "non-standard exception from lint rule"});
     }
+    // A wire cert is kept only once it has linted; the report points
+    // into the registry, not the cert, so the move leaves it intact.
+    a.cert = wire ? &state.owned.emplace_back(std::move(*wire)) : entry.meta;
     a.noncompliant = a.report.noncompliant();
     if (a.noncompliant) ++state.nc_count;
     state.analyzed.push_back(std::move(a));

@@ -266,9 +266,10 @@ Expected<ScanOutcome> scan_store(core::Fs& fs, const std::string& dir) {
                             std::to_string(rep.tail_bytes_dropped) + " byte(s)");
     }
 
-    // The head snapshot is an advisory floor: a stale one is normal
-    // (it lags by up to snapshot_every_commits), but one claiming MORE
-    // than was recovered proves acknowledged data was lost.
+    // The head snapshot is an advisory floor: it can lag by one commit
+    // (a crash between the commit fsync and the snapshot rename), but
+    // one claiming MORE than was recovered proves acknowledged data was
+    // lost.
     if (head_present) {
         rep.head_snapshot_present = true;
         auto snap_bytes = fs.read_file(dir + "/head.snap");
@@ -445,11 +446,7 @@ Status Store::append_batch(std::span<const PendingEntry> batch) {
     ++next_seq_;  // the commit frame's sequence number
     frames_in_segment_ += frames.size();
 
-    ++commits_since_snapshot_;
-    if (commits_since_snapshot_ >= options_.snapshot_every_commits) {
-        if (auto st = write_head_snapshot(); !st.ok()) return st;
-    }
-    return Status::success();
+    return write_head_snapshot();
 }
 
 Status Store::append(BytesView leaf_der, int64_t timestamp) {
@@ -522,7 +519,6 @@ Status Store::write_head_snapshot() {
     if (auto st = core::atomic_write_file(*fs_, dir_ + "/head.snap", view, dir_); !st.ok()) {
         return latch_failure(st.error());
     }
-    commits_since_snapshot_ = 0;
     return Status::success();
 }
 

@@ -46,12 +46,6 @@ struct StoreOptions {
     // sweeps this knob.
     size_t segment_max_records = 1024;
 
-    // Refresh head.snap every N commits (1 = every commit). The
-    // snapshot is an advisory floor: recovery treats committed state
-    // older than it as data loss, so a larger interval trades a wider
-    // undetectable-loss window for fewer I/O ops per batch.
-    size_t snapshot_every_commits = 1;
-
     // Create the directory when absent (unicert_store --init path).
     bool create_if_missing = false;
 };
@@ -113,8 +107,9 @@ public:
                                                  RecoveryReport* report = nullptr);
 
     // Append + commit one batch: entry frames, then a commit frame
-    // carrying (tree size, Merkle root), then fsync. Success means the
-    // batch is durable. Any failure latches the failed state.
+    // carrying (tree size, Merkle root), then fsync, then a head.snap
+    // refresh. Success means the batch is durable. Any failure latches
+    // the failed state.
     Status append_batch(std::span<const PendingEntry> batch);
 
     // One-entry convenience batch.
@@ -167,7 +162,6 @@ private:
     size_t frames_in_segment_ = 0;      // frames in the open segment
     core::FilePtr segment_;             // open handle onto the last segment
     std::string segment_path_;
-    size_t commits_since_snapshot_ = 0;
 
     bool read_only_ = false;
     bool failed_ = false;

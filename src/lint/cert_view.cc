@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "x509/extensions.h"
-
 namespace unicert::lint {
 
 void AccessTrace::note_extension(const asn1::Oid& oid) {
@@ -19,159 +17,15 @@ void AccessTrace::merge(const AccessTrace& other) {
     for (const asn1::Oid& oid : other.extensions) note_extension(oid);
 }
 
-void CertView::note_extension(const asn1::Oid& oid) const {
-    if (trace_ != nullptr) trace_->note_extension(oid);
-}
-
-void CertView::record_extension(const asn1::Oid& oid) const {
-    if (std::find(decoded_exts_.begin(), decoded_exts_.end(), oid) == decoded_exts_.end()) {
-        decoded_exts_.push_back(oid);
-    }
-}
-
-const Bytes& CertView::serial() const {
-    note(x509::CertField::kSerial);
-    if (cert_ != nullptr) return cert_->serial;
-    if (!serial_.has_value()) {
-        record_field(x509::CertField::kSerial);
-        serial_.emplace(lazy_->serial().begin(), lazy_->serial().end());
-    }
-    return *serial_;
-}
-
-const asn1::Oid& CertView::signature_algorithm() const {
-    note(x509::CertField::kSignatureAlgorithm);
-    if (cert_ != nullptr) return cert_->signature_algorithm;
-    if (!sig_alg_.has_value()) {
-        record_field(x509::CertField::kSignatureAlgorithm);
-        sig_alg_ = lazy_->signature_algorithm();
-    }
-    return *sig_alg_;
-}
-
-const x509::DistinguishedName& CertView::issuer() const {
-    note(x509::CertField::kIssuer);
-    if (cert_ != nullptr) return cert_->issuer;
-    if (!issuer_dn_.has_value()) {
-        record_field(x509::CertField::kIssuer);
-        issuer_dn_ = lazy_->issuer();
-    }
-    return *issuer_dn_;
-}
-
-const x509::DistinguishedName& CertView::subject() const {
-    note(x509::CertField::kSubject);
-    if (cert_ != nullptr) return cert_->subject;
-    if (!subject_dn_.has_value()) {
-        record_field(x509::CertField::kSubject);
-        subject_dn_ = lazy_->subject();
-    }
-    return *subject_dn_;
-}
-
-const Bytes& CertView::subject_public_key() const {
-    note(x509::CertField::kSubjectPublicKey);
-    if (cert_ != nullptr) return cert_->subject_public_key;
-    if (!spki_.has_value()) {
-        record_field(x509::CertField::kSubjectPublicKey);
-        spki_.emplace(lazy_->subject_public_key().begin(), lazy_->subject_public_key().end());
-    }
-    return *spki_;
-}
-
-const Bytes& CertView::signature() const {
-    note(x509::CertField::kSignature);
-    if (cert_ != nullptr) return cert_->signature;
-    if (!signature_.has_value()) {
-        record_field(x509::CertField::kSignature);
-        signature_.emplace(lazy_->signature().begin(), lazy_->signature().end());
-    }
-    return *signature_;
-}
-
-const x509::Extension* CertView::find_extension(const asn1::Oid& oid) const {
-    note_extension(oid);
-    if (cert_ != nullptr) return cert_->find_extension(oid);
-    // A fully-materialized list (some rule called extensions()) is
-    // authoritative; search it like Certificate::find_extension would.
-    if (exts_.has_value()) {
-        for (const x509::Extension& ext : *exts_) {
-            if (ext.oid == oid) return &ext;
-        }
-        return nullptr;
-    }
-    for (const ProbeEntry& p : probes_) {
-        if (p.oid == oid) return p.ext.has_value() ? &*p.ext : nullptr;
-    }
-    record_extension(oid);
-    ProbeEntry entry;
-    entry.oid = oid;
-    if (const auto* raw = lazy_->find_raw_extension(oid)) {
-        entry.ext = lazy_->decode_extension(*raw);
-    }
-    probes_.push_back(std::move(entry));
-    const ProbeEntry& cached = probes_.back();
-    return cached.ext.has_value() ? &*cached.ext : nullptr;
-}
-
-const std::vector<x509::Extension>& CertView::extensions() const {
-    note(x509::CertField::kExtensions);
-    if (cert_ != nullptr) return cert_->extensions;
-    if (!exts_.has_value()) {
-        record_field(x509::CertField::kExtensions);
-        auto raws = lazy_->raw_extensions();
-        exts_.emplace();
-        exts_->reserve(raws.size());
-        for (const auto& raw : raws) exts_->push_back(lazy_->decode_extension(raw));
-    }
-    return *exts_;
-}
-
 const x509::GeneralNames& CertView::subject_alt_names() const {
-    const asn1::Oid& san_oid = asn1::oids::subject_alt_name();
-    note_extension(san_oid);
-    if (!san_.has_value()) {
-        if (cert_ != nullptr) {
-            san_ = cert_->subject_alt_names();
-        } else {
-            record_extension(san_oid);
-            san_.emplace();
-            if (const auto* raw = lazy_->find_raw_extension(san_oid)) {
-                x509::Extension ext = lazy_->decode_extension(*raw);
-                auto parsed = x509::parse_san(ext);
-                if (parsed.ok()) san_ = std::move(parsed).value();
-            }
-        }
-    }
+    note_extension(asn1::oids::subject_alt_name());
+    if (!san_.has_value()) san_ = cert_->subject_alt_names();
     return *san_;
 }
 
-std::vector<const x509::AttributeValue*> CertView::subject_common_names() const {
-    if (cert_ != nullptr) {
-        note(x509::CertField::kSubject);
-        return cert_->subject_common_names();
-    }
-    // subject() notes the field and memoizes the DN; returned pointers
-    // stay valid for the CertView's lifetime.
-    return subject().find_all(asn1::oids::common_name());
-}
-
 bool CertView::is_precertificate() const {
-    const asn1::Oid& poison = asn1::oids::ct_poison();
-    note_extension(poison);
-    if (cert_ != nullptr) return cert_->is_precertificate();
-    record_extension(poison);
-    return lazy_->find_raw_extension(poison) != nullptr;
-}
-
-const x509::Certificate& CertView::whole_cert() const {
-    note(x509::CertField::kWholeCert);
-    if (cert_ != nullptr) return *cert_;
-    if (!whole_.has_value()) {
-        record_field(x509::CertField::kWholeCert);
-        whole_ = lazy_->materialize();
-    }
-    return *whole_;
+    note_extension(asn1::oids::ct_poison());
+    return cert_->is_precertificate();
 }
 
 }  // namespace unicert::lint

@@ -1,36 +1,24 @@
 // unicert/lint/cert_view.h
 //
-// The certificate facade every lint rule reads through. It has two
-// backends behind one accessor surface:
-//
-//   * owned  — wraps a fully-parsed x509::Certificate and forwards at
-//     zero cost (the historical behaviour);
-//   * lazy   — wraps a zero-copy x509::LazyCertificate and materializes
-//     a field the first time a rule touches it, memoizing the result so
-//     repeated reads return stable references. Fields no rule reads are
-//     never decoded, which is what makes the lint hot path cheap: the
-//     union of active RuleFootprints bounds the decode set
-//     (tests/lint_lazy_footprint_test.cc pins this).
+// The certificate facade every lint rule reads through. It wraps one
+// fully-parsed x509::Certificate: a wire certificate is decoded once
+// (x509::parse_certificate) and every rule reads that one structure.
 //
 // When an AccessTrace sink is attached (lint::analysis::TracingCertView)
 // every top-level field read and every extension probe is recorded, so
 // the rule-set analyzer can diff actual accesses against the rule's
-// declared RuleFootprint (DESIGN.md section 9). Independently of the
-// trace, the lazy backend keeps a decode log — which fields/extensions
-// it actually materialized — for the footprint tests and the benches.
+// declared RuleFootprint (DESIGN.md section 9).
 //
 // Rules must not capture the underlying Certificate: everything a rule
 // reads goes through an accessor here, which is what makes footprint
 // verification sound.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "x509/certificate.h"
 #include "x509/field.h"
-#include "x509/lazy.h"
 
 namespace unicert::lint {
 
@@ -58,97 +46,86 @@ class CertView {
 public:
     explicit CertView(const x509::Certificate& cert, AccessTrace* trace = nullptr) noexcept
         : cert_(&cert), trace_(trace) {}
-    explicit CertView(const x509::LazyCertificate& cert, AccessTrace* trace = nullptr) noexcept
-        : lazy_(&cert), trace_(trace) {}
 
     // ---- Top-level TBS fields -----------------------------------------
-    //
-    // version and validity are decoded eagerly by the index (they gate
-    // rule applicability), so reading them never shows in the decode log.
 
     int version() const {
         note(x509::CertField::kVersion);
-        return cert_ != nullptr ? cert_->version : lazy_->version();
+        return cert_->version;
     }
     const x509::Validity& validity() const {
         note(x509::CertField::kValidity);
-        return cert_ != nullptr ? cert_->validity : lazy_->validity();
+        return cert_->validity;
     }
-    const Bytes& serial() const;
-    const asn1::Oid& signature_algorithm() const;
-    const x509::DistinguishedName& issuer() const;
-    const x509::DistinguishedName& subject() const;
-    const Bytes& subject_public_key() const;
-    const Bytes& signature() const;
+    const Bytes& serial() const {
+        note(x509::CertField::kSerial);
+        return cert_->serial;
+    }
+    const asn1::Oid& signature_algorithm() const {
+        note(x509::CertField::kSignatureAlgorithm);
+        return cert_->signature_algorithm;
+    }
+    const x509::DistinguishedName& issuer() const {
+        note(x509::CertField::kIssuer);
+        return cert_->issuer;
+    }
+    const x509::DistinguishedName& subject() const {
+        note(x509::CertField::kSubject);
+        return cert_->subject;
+    }
+    const Bytes& subject_public_key() const {
+        note(x509::CertField::kSubjectPublicKey);
+        return cert_->subject_public_key;
+    }
+    const Bytes& signature() const {
+        note(x509::CertField::kSignature);
+        return cert_->signature;
+    }
 
     // ---- Extension access ---------------------------------------------
 
     // Probing one extension by OID is tracked per OID, not as a read of
-    // the whole extension list. On the lazy backend a miss costs no
-    // allocation (raw OID-span compare); a hit decodes that one
-    // extension and memoizes it.
-    const x509::Extension* find_extension(const asn1::Oid& oid) const;
+    // the whole extension list.
+    const x509::Extension* find_extension(const asn1::Oid& oid) const {
+        note_extension(oid);
+        return cert_->find_extension(oid);
+    }
     bool has_extension(const asn1::Oid& oid) const { return find_extension(oid) != nullptr; }
 
     // Enumerating the raw list requires CertField::kExtensions.
-    const std::vector<x509::Extension>& extensions() const;
+    const std::vector<x509::Extension>& extensions() const {
+        note(x509::CertField::kExtensions);
+        return cert_->extensions;
+    }
 
     // ---- Typed lookups mirroring x509::Certificate --------------------
 
-    // Memoized on both backends: the SAN is the most re-read value in
-    // the registry and used to be re-parsed per rule call.
+    // Memoized: the SAN is the most re-read value in the registry.
     const x509::GeneralNames& subject_alt_names() const;
-    std::vector<const x509::AttributeValue*> subject_common_names() const;
+    std::vector<const x509::AttributeValue*> subject_common_names() const {
+        note(x509::CertField::kSubject);
+        return cert_->subject_common_names();
+    }
     bool is_precertificate() const;
 
     // Whole-certificate escape hatch (DER, fingerprint, cross-field
     // logic). Footprint must declare CertField::kWholeCert.
-    const x509::Certificate& whole_cert() const;
-
-    // ---- Decode log (lazy backend) ------------------------------------
-    //
-    // What was actually materialized, as opposed to merely read: the
-    // owned backend decodes nothing, so its log stays empty. Extension
-    // probes log the probed OID (a probe reads the raw OID spans even
-    // on a miss).
-
-    uint32_t decoded_fields() const noexcept { return decoded_fields_; }
-    const std::vector<asn1::Oid>& decoded_extensions() const noexcept { return decoded_exts_; }
-    bool lazy_backed() const noexcept { return lazy_ != nullptr; }
+    const x509::Certificate& whole_cert() const {
+        note(x509::CertField::kWholeCert);
+        return *cert_;
+    }
 
 private:
-    // One memoized extension probe; deque storage keeps the Extension
-    // addresses handed to rules stable across later probes.
-    struct ProbeEntry {
-        asn1::Oid oid;
-        std::optional<x509::Extension> ext;  // nullopt = cached miss
-    };
-
     void note(x509::CertField f) const {
         if (trace_ != nullptr) trace_->note_field(f);
     }
-    void note_extension(const asn1::Oid& oid) const;
-    void record_field(x509::CertField f) const { decoded_fields_ |= x509::field_bit(f); }
-    void record_extension(const asn1::Oid& oid) const;
+    void note_extension(const asn1::Oid& oid) const {
+        if (trace_ != nullptr) trace_->note_extension(oid);
+    }
 
-    const x509::Certificate* cert_ = nullptr;
-    const x509::LazyCertificate* lazy_ = nullptr;
-    AccessTrace* trace_ = nullptr;
-
-    // Memo caches (lazy backend; san_ also serves the owned backend).
-    mutable std::optional<Bytes> serial_;
-    mutable std::optional<asn1::Oid> sig_alg_;
-    mutable std::optional<x509::DistinguishedName> issuer_dn_;
-    mutable std::optional<x509::DistinguishedName> subject_dn_;
-    mutable std::optional<Bytes> spki_;
-    mutable std::optional<Bytes> signature_;
-    mutable std::optional<std::vector<x509::Extension>> exts_;
-    mutable std::deque<ProbeEntry> probes_;
+    const x509::Certificate* cert_;
+    AccessTrace* trace_;
     mutable std::optional<x509::GeneralNames> san_;
-    mutable std::optional<x509::Certificate> whole_;
-
-    mutable uint32_t decoded_fields_ = 0;
-    mutable std::vector<asn1::Oid> decoded_exts_;
 };
 
 }  // namespace unicert::lint

@@ -161,18 +161,7 @@ CertReport run_lints(const x509::Certificate& cert, const Registry& registry,
 
 CertReport run_lints(const x509::LazyCertificate& cert, const Registry& registry,
                      const RunOptions& options) {
-    CertReport report;
-    CertView view(cert);
-    for (const Rule& rule : registry.rules()) {
-        if (options.respect_effective_dates &&
-            cert.validity().not_before < rule.info.effective_date) {
-            continue;
-        }
-        if (auto detail = rule.check(view)) {
-            report.findings.push_back({&rule.info, std::move(*detail)});
-        }
-    }
-    return report;
+    return run_lints(cert.materialize(), registry, options);
 }
 
 }  // namespace unicert::lint

@@ -17,6 +17,7 @@
 #include "lint/cert_view.h"
 #include "x509/certificate.h"
 #include "x509/field.h"
+#include "x509/lazy.h"
 
 namespace unicert::lint {
 
@@ -155,10 +156,8 @@ struct RunOptions {
 CertReport run_lints(const x509::Certificate& cert, const Registry& registry = default_registry(),
                      const RunOptions& options = {});
 
-// Zero-copy variant: rules read through a lazily-materializing CertView
-// over the index, so only fields inside the union of the applicable
-// rules' footprints are ever decoded. Produces the identical CertReport
-// to running over cert.materialize() (the parity suite pins this).
+// Lints an indexed wire certificate: cert.materialize(), then the
+// overload above.
 CertReport run_lints(const x509::LazyCertificate& cert,
                      const Registry& registry = default_registry(),
                      const RunOptions& options = {});

@@ -221,14 +221,6 @@ Expected<LazyCertificate> LazyCertificate::index(BytesView der, core::Arena* are
     return lc;
 }
 
-const LazyCertificate::RawExtension* LazyCertificate::find_raw_extension(
-    const asn1::Oid& oid) const noexcept {
-    for (const RawExtension& re : raw_extensions()) {
-        if (oid.matches_der(re.oid_der)) return &re;
-    }
-    return nullptr;
-}
-
 asn1::Oid LazyCertificate::signature_algorithm() const {
     return asn1::Oid::from_der(sig_alg_der_).value();
 }

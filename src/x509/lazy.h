@@ -15,8 +15,9 @@
 //     pipeline run that borrows from them).
 //   * When an Arena is supplied, the extension table lives in the
 //     arena; releasing the enclosing scope mark invalidates the whole
-//     LazyCertificate. The streaming pipelines open one ArenaScope per
-//     certificate, so a warmed-up run indexes with zero heap traffic.
+//     LazyCertificate. A loop that indexes many certificates opens one
+//     ArenaScope per certificate, so once warm it indexes with zero
+//     heap traffic.
 //   * materialize() deep-copies everything into an owning Certificate;
 //     the result is independent of both buffer and arena.
 #pragma once
@@ -66,8 +67,6 @@ public:
         return arena_exts_ != nullptr ? std::span<const RawExtension>{arena_exts_, ext_count_}
                                       : std::span<const RawExtension>{owned_exts_};
     }
-    // Allocation-free probe (first match, like Certificate::find_extension).
-    const RawExtension* find_raw_extension(const asn1::Oid& oid) const noexcept;
 
     // ---- On-demand decodes ---------------------------------------------
     //

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "asn1/time.h"
+#include "core/parallel_pipeline.h"
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "ctlog/log.h"
@@ -186,7 +187,9 @@ TEST_F(ChaosPipeline, PermanentStreamFailureAbortsWithPartialStats) {
 
 TEST_F(ChaosPipeline, ThrowingLintIsQuarantinedNotFatal) {
     // A hostile registry whose single rule throws on every cert: each
-    // entry lands in quarantine at the lint stage and the run completes.
+    // entry lands in quarantine at the lint stage and the run completes,
+    // whether the slice arrives as corpus records or as wire DER (which
+    // is parsed before it is linted).
     lint::Registry hostile;
     lint::Rule rule;
     rule.info.name = "x_always_throws";
@@ -197,19 +200,34 @@ TEST_F(ChaosPipeline, ThrowingLintIsQuarantinedNotFatal) {
     hostile.add(std::move(rule));
 
     std::vector<ctlog::CorpusCert> slice(corpus_->begin(), corpus_->begin() + 20);
-    core::VectorCertSource source(slice);
     core::ManualClock clock;
     core::PipelineOptions options = chaos_options(clock);
     options.registry = &hostile;
-    core::CompliancePipeline pipeline(source, options);
+    auto expect_all_quarantined = [&](const core::CompliancePipeline& pipeline,
+                                      const std::string& label) {
+        EXPECT_TRUE(pipeline.stats().completed) << label;
+        EXPECT_EQ(pipeline.stats().processed, 0u) << label;
+        EXPECT_EQ(pipeline.stats().quarantined, slice.size()) << label;
+        EXPECT_TRUE(pipeline.analyzed().empty()) << label;
+        ASSERT_EQ(pipeline.quarantine_report().records.size(), slice.size()) << label;
+        for (const core::QuarantineRecord& record : pipeline.quarantine_report().records) {
+            EXPECT_EQ(record.stage, core::QuarantineStage::kLint) << label;
+            EXPECT_EQ(record.error.code, "lint_exception") << label;
+            EXPECT_NE(record.error.message.find("rule exploded"), std::string::npos) << label;
+        }
+    };
 
-    EXPECT_TRUE(pipeline.stats().completed);
-    EXPECT_EQ(pipeline.stats().processed, 0u);
-    EXPECT_EQ(pipeline.stats().quarantined, slice.size());
-    for (const core::QuarantineRecord& record : pipeline.quarantine_report().records) {
-        EXPECT_EQ(record.stage, core::QuarantineStage::kLint);
-        EXPECT_EQ(record.error.code, "lint_exception");
-        EXPECT_NE(record.error.message.find("rule exploded"), std::string::npos);
+    core::VectorCertSource source(slice);
+    expect_all_quarantined(core::CompliancePipeline(source, options), "corpus records");
+
+    Bytes blob;
+    for (const ctlog::CorpusCert& c : slice) {
+        blob.insert(blob.end(), c.cert.der.begin(), c.cert.der.end());
+    }
+    for (size_t jobs : {1u, 2u}) {
+        core::DerFileCertSource wire(blob);
+        expect_all_quarantined(core::ParallelPipeline(wire, options, {.jobs = jobs}),
+                               "wire DER, jobs " + std::to_string(jobs));
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -318,7 +319,8 @@ public:
 
 private:
     int64_t step_ms_;
-    int64_t now_ = 0;
+    // Atomic: the campaign's worker and the main thread both read it.
+    std::atomic<int64_t> now_{0};
 };
 
 TEST(Campaign, MaxWallMsStopsTheRun) {

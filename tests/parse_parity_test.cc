@@ -474,7 +474,7 @@ TEST(ParseParity, HandcraftedEdgeCases) {
     for (const auto& [label, der] : edges) expect_parity(der, label);
 }
 
-// ---- Lint parity: owned vs lazy --------------------------------------------
+// ---- Lint parity: in-memory vs wire ----------------------------------------
 
 std::string report_fingerprint(const lint::CertReport& report) {
     std::ostringstream out;
@@ -484,18 +484,15 @@ std::string report_fingerprint(const lint::CertReport& report) {
     return out.str();
 }
 
-TEST(ParseParity, LintReportsOwnedVsLazy) {
+TEST(ParseParity, LintReportsInMemoryVsWire) {
     std::vector<ctlog::CorpusCert> corpus = signed_corpus(42);
-    core::Arena arena;
     size_t checked = 0;
     for (const ctlog::CorpusCert& c : corpus) {
-        lint::CertReport owned = lint::run_lints(c.cert);
-        core::ArenaScope scope(arena);
-        auto lazy = x509::LazyCertificate::index(c.cert.der, &arena);
-        ASSERT_TRUE(lazy.ok());
-        lint::CertReport lazy_report = lint::run_lints(*lazy);
-        ASSERT_EQ(report_fingerprint(lazy_report), report_fingerprint(owned))
-            << "cert " << checked;
+        lint::CertReport in_memory = lint::run_lints(c.cert);
+        auto parsed = x509::parse_certificate(c.cert.der);
+        ASSERT_TRUE(parsed.ok());
+        lint::CertReport wire = lint::run_lints(*parsed);
+        ASSERT_EQ(report_fingerprint(wire), report_fingerprint(in_memory)) << "cert " << checked;
         ++checked;
     }
     EXPECT_GT(checked, 100u);
