@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <map>
 
 #include "ctlog/store/format.h"
 
@@ -59,40 +58,29 @@ struct Reader {
 
 }  // namespace
 
-void ProfileIndex::finalize(const MonitorCapabilities& for_caps) {
-    caps = for_caps;
-    exact.clear();
-    trigrams.clear();
-    searchable_ids.clear();
-    class_postings.assign(8, {});
+void RecordList::push_back(IndexedRecord record) {
+    open_.push_back(std::move(record));
+    if (open_.size() == kChunkRecords) {
+        sealed_.push_back(std::make_shared<const std::vector<IndexedRecord>>(std::move(open_)));
+        open_.clear();
+    }
+}
 
-    std::map<std::string_view, std::vector<uint32_t>> exact_map;
-    std::map<uint32_t, std::vector<uint32_t>> trigram_map;
-    for (uint32_t id = 0; id < records.size(); ++id) {
-        const IndexedRecord& record = records[id];
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            if (record.class_mask & (1u << bit)) class_postings[bit].push_back(id);
-        }
-        if (!record.searchable()) continue;
-        if (!for_caps.fuzzy_search) {
-            for (const std::string& key : record.keys) {
-                auto& ids = exact_map[key];
-                if (ids.empty() || ids.back() != id) ids.push_back(id);
-            }
-            continue;
-        }
+void ProfileIndex::add(IndexedRecord record) {
+    const MonitorCapabilities& for_caps = caps.value();
+    const auto id = static_cast<uint32_t>(records.size());
+    for (unsigned bit = 0; bit < 8; ++bit) {
+        if (record.class_mask & (1u << bit)) class_postings[bit].push_back(id);
+    }
+    if (record.searchable() && for_caps.fuzzy_search) {
         searchable_ids.push_back(id);
         for (const std::string& key : record.keys) {
-            for (size_t i = 0; i + 3 <= key.size(); ++i) {
-                auto& ids = trigram_map[pack_trigram(key, i)];
-                if (ids.empty() || ids.back() != id) ids.push_back(id);
-            }
+            for (size_t i = 0; i + 3 <= key.size(); ++i) trigrams.add(pack_trigram(key, i), id);
         }
+    } else if (record.searchable()) {
+        for (const std::string& key : record.keys) exact.add(exact_key_hash(key), id);
     }
-    exact.reserve(exact_map.size());
-    for (auto& [key, ids] : exact_map) exact.emplace_back(std::string(key), std::move(ids));
-    trigrams.reserve(trigram_map.size());
-    for (auto& [tg, ids] : trigram_map) trigrams.emplace_back(tg, std::move(ids));
+    records.push_back(std::move(record));
 }
 
 const ProfileIndex* IndexGeneration::find_profile(std::string_view name) const noexcept {

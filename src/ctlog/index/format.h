@@ -27,22 +27,27 @@
 // The epoch + basis pair is what makes generations MVCC snapshots: a
 // generation is valid for a store iff the store's own Merkle root at
 // basis_size equals basis_root (the index was derived from a prefix of
-// THIS history), and entries at or beyond basis_size are answered by
-// the query service's tail scan. The SHA-256 trailer makes every
+// THIS history), and entries at or beyond basis_size are answered from
+// the query service's in-memory delta. The SHA-256 trailer makes every
 // single-bit flip detectable; a torn tail fails the length or digest
 // check. Damaged generations are never partially used — the fsck
 // taxonomy classifies them and the degradation ladder routes around.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/expected.h"
 #include "crypto/sha256.h"
 #include "ctlog/capabilities.h"
+#include "ctlog/index/postings.h"
 
 namespace unicert::ctlog::index {
 
@@ -71,35 +76,94 @@ struct IndexedRecord {
     bool searchable() const noexcept { return !hidden && !excluded && !keys.empty(); }
 };
 
-// One profile's section: records plus the acceleration structures the
-// query path uses. Only `records` is persisted; the acceleration is a
-// pure function of it and of the profile's capabilities, rebuilt by
-// finalize() after decode — less format surface for corruption to hide
-// in, and the checksum still covers everything the lookup result
-// depends on.
-struct ProfileIndex {
-    std::string profile_name;
-    std::vector<IndexedRecord> records;  // position == store entry index
+// A section's records, append-only, in fixed-size chunks. A full chunk
+// is sealed (immutable, shared): a copy takes a reference to each
+// sealed chunk and copies only the open tail, so copying a section —
+// what a fold does with the served generation — copies at most one
+// chunk's records, and two generations share the records they have in
+// common. Nothing ever writes a sealed chunk.
+class RecordList {
+public:
+    static constexpr size_t kChunkRecords = 512;
 
-    // -- acceleration (not serialized; built by finalize()) --
-    // The capabilities the records were derived and finalized under;
-    // unset until finalize(). A section answers only for these.
+    // Forward iteration in id order.
+    class Iterator {
+    public:
+        Iterator(const RecordList* list, size_t id) : list_(list), id_(id) {}
+        const IndexedRecord& operator*() const noexcept { return (*list_)[id_]; }
+        Iterator& operator++() noexcept {
+            ++id_;
+            return *this;
+        }
+        bool operator==(const Iterator& other) const noexcept { return id_ == other.id_; }
+
+    private:
+        const RecordList* list_;
+        size_t id_;
+    };
+
+    size_t size() const noexcept { return sealed_.size() * kChunkRecords + open_.size(); }
+    bool empty() const noexcept { return size() == 0; }
+
+    const IndexedRecord& operator[](size_t id) const noexcept {
+        size_t chunk = id / kChunkRecords;
+        return chunk < sealed_.size() ? (*sealed_[chunk])[id % kChunkRecords]
+                                      : open_[id - sealed_.size() * kChunkRecords];
+    }
+
+    Iterator begin() const noexcept { return {this, 0}; }
+    Iterator end() const noexcept { return {this, size()}; }
+
+    void push_back(IndexedRecord record);
+
+private:
+    std::vector<std::shared_ptr<const std::vector<IndexedRecord>>> sealed_;
+    std::vector<IndexedRecord> open_;  // fewer than kChunkRecords
+};
+
+// The posting key of an exact-match key.
+inline uint64_t exact_key_hash(std::string_view key) noexcept {
+    return std::hash<std::string_view>{}(key);
+}
+
+// One profile's section: records plus the postings the query path
+// reads. Only `records` is persisted; the postings are a pure function
+// of them and of the profile's capabilities, kept current by add() as
+// each record lands — less format surface for corruption to hide in,
+// and the checksum still covers everything the lookup result depends
+// on.
+struct ProfileIndex {
+    ProfileIndex() = default;
+    // An empty section whose records are posted for `for_caps`.
+    ProfileIndex(std::string name, const MonitorCapabilities& for_caps)
+        : profile_name(std::move(name)), caps(for_caps) {}
+
+    std::string profile_name;
+    RecordList records;  // record id == position
+
+    // -- postings (not serialized; kept current by add()) --
+    // The capabilities the records are posted for. A decoded section
+    // has none until load_latest adds its records to a section of its
+    // built-in profile. A section answers only for these.
     std::optional<MonitorCapabilities> caps;
-    // Exact-match profiles only. Sorted unique (key -> ascending record
-    // ids): O(log n) exact match.
-    std::vector<std::pair<std::string, std::vector<uint32_t>>> exact;
-    // Fuzzy profiles only. Packed byte-trigram -> ascending record ids:
-    // fuzzy candidates.
-    std::vector<std::pair<uint32_t, std::vector<uint32_t>>> trigrams;
-    // Fuzzy profiles only. Ascending ids of records with at least one
+    // Exact-match profiles only: exact_key_hash(key) -> ascending ids
+    // of the records holding a key with that hash. lookup keeps only
+    // the records that hold the key itself, so a hash collision costs a
+    // check, never a wrong answer.
+    Postings exact;
+    // Fuzzy profiles only: packed byte trigram -> ascending record ids
+    // (fuzzy candidates).
+    Postings trigrams;
+    // Fuzzy profiles only: ascending ids of records with at least one
     // key (short-needle fallback).
     std::vector<uint32_t> searchable_ids;
     // Per-FieldClass-bit posting lists over class_mask (special-Unicode
-    // retrieval): postings[b] = ids whose class_mask has bit b.
-    std::vector<std::vector<uint32_t>> class_postings;
+    // retrieval): class_postings[b] = ids whose class_mask has bit b.
+    std::array<std::vector<uint32_t>, 8> class_postings;
 
-    // Build what lookup() reads under `for_caps`, and record them.
-    void finalize(const MonitorCapabilities& for_caps);
+    // Append `record` as id records.size() and post only what lookup
+    // reads under `caps`, which must be set.
+    void add(IndexedRecord record);
 };
 
 // One immutable index generation (the unit the MVCC slot publishes).
@@ -116,9 +180,9 @@ struct IndexGeneration {
 
 Bytes encode_index(const IndexGeneration& generation);
 
-// Decode and verify a whole index artifact. The returned generation is
-// NOT finalized (call ProfileIndex::finalize, or use load paths that
-// do). Error codes:
+// Decode and verify a whole index artifact. The returned sections hold
+// records but no postings (load_latest adds each record to a section
+// of its built-in profile). Error codes:
 //   index_truncated   file shorter than its framing claims (torn tail)
 //   index_bad_magic   not an index artifact
 //   index_bad_length  a length field is absurd or inconsistent

@@ -100,11 +100,14 @@ std::shared_ptr<const IndexGeneration> scan_generations(core::Fs& fs,
         }
         auto owned = std::make_shared<IndexGeneration>(std::move(*generation));
         // build_index derives each section under its built-in profile's
-        // capabilities. A section under any other name stays unfinalized,
+        // capabilities. A section under any other name gets no postings,
         // so the service never answers from it.
         for (ProfileIndex& section : owned->profiles) {
             for (const MonitorProfile& builtin : monitor_profiles()) {
-                if (builtin.name == section.profile_name) section.finalize(builtin.caps);
+                if (builtin.name != section.profile_name) continue;
+                ProfileIndex posted(builtin.name, builtin.caps);
+                for (const IndexedRecord& record : section.records) posted.add(record);
+                section = std::move(posted);
             }
         }
         newest_valid = std::move(owned);
@@ -133,34 +136,38 @@ const char* index_damage_name(IndexDamageKind kind) noexcept {
     return "unknown";
 }
 
+std::vector<ProfileIndex> builtin_sections() {
+    std::vector<ProfileIndex> sections;
+    for (const MonitorProfile& profile : monitor_profiles()) {
+        sections.emplace_back(profile.name, profile.caps);
+    }
+    return sections;
+}
+
+void add_entries(const store::Store& store, size_t from, std::vector<ProfileIndex>& sections) {
+    const auto& entries = store.entries();
+    for (size_t i = from; i < entries.size(); ++i) {
+        auto cert = x509::parse_certificate(entries[i].leaf_der);
+        bool excluded = !cert.ok() || cert->is_precertificate();
+        for (ProfileIndex& section : sections) {
+            IndexedRecord record;
+            if (excluded) {
+                record.excluded = true;
+            } else {
+                record = index_record(section.caps.value(), cert.value());
+            }
+            section.add(std::move(record));
+        }
+    }
+}
+
 IndexGeneration build_index(const store::Store& store, uint64_t epoch) {
     IndexGeneration generation;
     generation.epoch = epoch;
     generation.basis_size = store.size();
     generation.basis_root = store.tree_head();
-
-    auto profiles = monitor_profiles();
-    generation.profiles.resize(profiles.size());
-    for (size_t p = 0; p < profiles.size(); ++p) {
-        generation.profiles[p].profile_name = profiles[p].name;
-        generation.profiles[p].records.reserve(store.size());
-    }
-
-    for (const store::StoredEntry& entry : store.entries()) {
-        auto cert = x509::parse_certificate(entry.leaf_der);
-        bool excluded = !cert.ok() || cert->is_precertificate();
-        for (size_t p = 0; p < profiles.size(); ++p) {
-            auto& records = generation.profiles[p].records;
-            if (excluded) {
-                records.emplace_back().excluded = true;
-            } else {
-                records.push_back(index_record(profiles[p].caps, cert.value()));
-            }
-        }
-    }
-    for (size_t p = 0; p < profiles.size(); ++p) {
-        generation.profiles[p].finalize(profiles[p].caps);
-    }
+    generation.profiles = builtin_sections();
+    add_entries(store, 0, generation.profiles);
     return generation;
 }
 

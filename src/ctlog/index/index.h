@@ -60,11 +60,20 @@ struct IndexFsckReport {
 
 // ---- build / publish / load ------------------------------------------------
 
+// One empty section per built-in profile, in monitor_profiles() order,
+// each posting its records for that profile's capabilities.
+std::vector<ProfileIndex> builtin_sections();
+
+// Add the records of store entries [from, store.size()) to each of
+// `sections`, derived under the section's capabilities, through
+// ProfileIndex::add. Each leaf is parsed once; an unparseable leaf or a
+// precertificate is an excluded record in every section, exactly as the
+// scan path skips it.
+void add_entries(const store::Store& store, size_t from, std::vector<ProfileIndex>& sections);
+
 // Derive a full index generation (all Table 6 profiles) from the
-// store's committed entries. Pure function of the store contents plus
-// `epoch`; unparseable leaves and precertificates become excluded
-// records in every profile, exactly as the scan path skips them.
-// Each section is finalized for its profile's capabilities on return.
+// store's committed entries: builtin_sections() with every entry
+// added. Pure function of the store contents plus `epoch`.
 IndexGeneration build_index(const store::Store& store, uint64_t epoch);
 
 // 1 + the highest epoch present in the index dir (valid or not), so a
@@ -82,7 +91,8 @@ Status publish_index(core::Fs& fs, const std::string& store_dir,
 // classified in `report`. Returns nullptr (not an error) when no
 // usable generation exists — the caller's degradation ladder decides
 // what happens next. Each section of the returned generation named
-// after a built-in profile is finalized for that profile's capabilities.
+// after a built-in profile has its records added to a section posting
+// for that profile's capabilities; any other section has no postings.
 std::shared_ptr<const IndexGeneration> load_latest(core::Fs& fs, const store::Store& store,
                                                    IndexFsckReport* report = nullptr);
 

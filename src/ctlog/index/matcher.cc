@@ -126,11 +126,8 @@ std::vector<size_t> lookup(const ProfileIndex& profile, const MonitorCapabilitie
                            std::string_view needle) {
     std::vector<size_t> out;
     if (!caps.fuzzy_search) {
-        auto it = std::lower_bound(
-            profile.exact.begin(), profile.exact.end(), needle,
-            [](const auto& kv, std::string_view n) { return kv.first < n; });
-        if (it != profile.exact.end() && it->first == needle) {
-            out.assign(it->second.begin(), it->second.end());
+        for (uint32_t id : profile.exact.find(exact_key_hash(needle))) {
+            if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
         }
         return out;
     }
@@ -145,18 +142,13 @@ std::vector<size_t> lookup(const ProfileIndex& profile, const MonitorCapabilitie
     // A key containing the needle contains every trigram of the needle,
     // so any trigram's posting list is a complete candidate set; verify
     // the smallest one.
-    const std::vector<uint32_t>* smallest = nullptr;
+    std::span<const uint32_t> smallest;
     for (size_t i = 0; i + 3 <= needle.size(); ++i) {
-        uint32_t trigram = pack_trigram(needle, i);
-        auto it = std::lower_bound(
-            profile.trigrams.begin(), profile.trigrams.end(), trigram,
-            [](const auto& kv, uint32_t t) { return kv.first < t; });
-        if (it == profile.trigrams.end() || it->first != trigram) return out;
-        if (smallest == nullptr || it->second.size() < smallest->size()) {
-            smallest = &it->second;
-        }
+        std::span<const uint32_t> ids = profile.trigrams.find(pack_trigram(needle, i));
+        if (ids.empty()) return out;
+        if (i == 0 || ids.size() < smallest.size()) smallest = ids;
     }
-    for (uint32_t id : *smallest) {
+    for (uint32_t id : smallest) {
         if (any_key_matches(caps, profile.records[id].keys, needle)) out.push_back(id);
     }
     return out;

@@ -72,9 +72,9 @@ IndexedRecord index_record(const MonitorCapabilities& caps, const x509::Certific
 
 // ---- index lookup ----------------------------------------------------------
 
-// Ascending ids of the records in the finalized `profile` whose keys
-// match `needle` (already folded by `fold`) under `caps`. Hidden and
-// excluded records never match.
+// Ascending ids of the records in `profile` (posted for `caps`) whose
+// keys match `needle` (already folded by `fold`) under `caps`. Hidden
+// and excluded records never match.
 std::vector<size_t> lookup(const ProfileIndex& profile, const MonitorCapabilities& caps,
                            std::string_view needle);
 

@@ -32,25 +32,51 @@ const char* query_path_name(QueryPath path) noexcept {
 
 QueryService::QueryService(core::Fs& fs, store::Store& store) : fs_(&fs), store_(&store) {}
 
-Status QueryService::rebuild() {
-    auto generation =
-        std::make_shared<IndexGeneration>(build_index(*store_, next_epoch(*fs_, store_->dir())));
+Status QueryService::install(std::shared_ptr<IndexGeneration> generation) {
     Status published = publish_index(*fs_, store_->dir(), *generation);
     // The in-memory snapshot is installed even when the durable publish
     // failed: readers get fast exact answers either way, and the next
     // refresh (or fsck-triggered rebuild) retries the disk.
+    delta_ = {generation->basis_size, builtin_sections()};
+    derived_here_ = true;
     slot_.publish(std::move(generation));
     return published;
 }
 
+Status QueryService::rebuild() {
+    return install(
+        std::make_shared<IndexGeneration>(build_index(*store_, next_epoch(*fs_, store_->dir()))));
+}
+
 Status QueryService::refresh() {
     std::unique_lock lock(mutex_);
-    return rebuild();
+    auto pinned = slot_.pin();
+    // Fold only a generation this service derived. A loaded one may have
+    // other sections, or records an older build derived under other
+    // rules; the first refresh after a load derives from the store.
+    if (!pinned || !derived_here_) return rebuild();
+    // Fold: the served generation plus the delta's records is the
+    // generation build_index would derive at the store head.
+    sync_delta(pinned->basis_size);
+    auto next = std::make_shared<IndexGeneration>(*pinned);
+    next->epoch = next_epoch(*fs_, store_->dir());
+    next->basis_size = store_->size();
+    next->basis_root = store_->tree_head();
+    for (size_t p = 0; p < next->profiles.size(); ++p) {
+        for (const IndexedRecord& record : delta_.sections[p].records) {
+            next->profiles[p].add(record);
+        }
+    }
+    return install(std::move(next));
 }
 
 Status QueryService::ingest(std::span<const store::PendingEntry> batch) {
     std::unique_lock lock(mutex_);
-    return store_->append_batch(batch);
+    Status appended = store_->append_batch(batch);
+    // The store mirrors a batch once its commit is durable, even when
+    // the head snapshot after it fails; the delta follows the store.
+    if (!delta_.sections.empty()) sync_delta(delta_.base);
+    return appended;
 }
 
 IndexFsckReport QueryService::last_fsck() const {
@@ -58,22 +84,34 @@ IndexFsckReport QueryService::last_fsck() const {
     return last_fsck_;
 }
 
+bool QueryService::delta_covers(const IndexGeneration& generation) const {
+    return !delta_.sections.empty() && delta_.base == generation.basis_size &&
+           delta_.end() == store_->size();
+}
+
+void QueryService::sync_delta(uint64_t basis) {
+    if (delta_.sections.empty() || delta_.base != basis) delta_ = {basis, builtin_sections()};
+    add_entries(*store_, delta_.end(), delta_.sections);
+}
+
 std::shared_ptr<const IndexGeneration> QueryService::ensure_generation(QueryPath& path,
                                                                        bool& degraded,
                                                                        std::string& reason) {
-    std::unique_lock lock(mutex_);
-
-    // Another thread may have healed the slot while we waited.
+    // Another thread may have healed the slot while we waited; a served
+    // generation may still lack the delta of entries appended around
+    // the service.
     if (auto pinned = slot_.pin(); pinned && pinned->basis_size <= store_->size()) {
-        path = QueryPath::kIndex;
+        sync_delta(pinned->basis_size);
         return pinned;
     }
 
     IndexFsckReport report;
-    auto loaded = load_latest(*fs_, *store_, &report);
-    if (loaded) {
+    if (auto loaded = load_latest(*fs_, *store_, &report)) {
+        // A generation that enters the slot with a short basis has its
+        // missing tail derived into the delta, once.
         slot_.publish(loaded);
-        path = QueryPath::kIndex;
+        derived_here_ = false;
+        sync_delta(loaded->basis_size);
     } else {
         // Rung 2: rebuild from the authoritative store. The rebuilt
         // generation is correct by construction; the durable republish
@@ -93,14 +131,16 @@ std::shared_ptr<const IndexGeneration> QueryService::ensure_generation(QueryPath
     return slot_.pin();
 }
 
-void QueryService::scan(const MonitorCapabilities& caps, const RecordMatch& matches,
-                        size_t from, std::vector<size_t>& out) const {
+std::vector<size_t> QueryService::scan(const MonitorCapabilities& caps,
+                                       const RecordMatch& matches) const {
+    std::vector<size_t> ids;
     const auto& entries = store_->entries();
-    for (size_t i = from; i < entries.size(); ++i) {
+    for (size_t i = 0; i < entries.size(); ++i) {
         auto cert = x509::parse_certificate(entries[i].leaf_der);
         if (!cert.ok() || cert->is_precertificate()) continue;
-        if (matches(derive_record(caps, cert.value()))) out.push_back(i);
+        if (matches(derive_record(caps, cert.value()))) ids.push_back(i);
     }
+    return ids;
 }
 
 ServedQuery QueryService::serve(const MonitorProfile& profile, Options options,
@@ -108,31 +148,37 @@ ServedQuery QueryService::serve(const MonitorProfile& profile, Options options,
     ServedQuery served;
     served.path = QueryPath::kIndex;
 
-    // Rung 1: the pinned MVCC snapshot. Its basis was checked against
-    // the store's history when it entered the slot (load_latest checks
-    // it, rebuild() derives it from the store), and the store only
-    // appends, so it stays on that history: no Merkle work here, only
-    // the size. Otherwise rung 2 loads or rebuilds a generation under
+    // Rung 1: the pinned MVCC snapshot and the delta that starts at its
+    // basis, read under one shared lock. The generation's basis was
+    // checked against the store's history when it entered the slot
+    // (load_latest checks it, rebuild() derives it from the store), and
+    // the store only appends: no Merkle work here. Otherwise rung 2
+    // loads or rebuilds a generation, and the query is answered, under
     // the exclusive lock.
+    std::shared_lock shared(mutex_);
+    std::unique_lock exclusive(mutex_, std::defer_lock);
     auto generation = options.use_index ? slot_.pin() : nullptr;
-    std::shared_lock lock(mutex_);
-    if (options.use_index && !(generation && generation->basis_size <= store_->size())) {
-        lock.unlock();
+    if (options.use_index && !(generation && delta_covers(*generation))) {
+        shared.unlock();
+        exclusive.lock();
         generation = ensure_generation(served.path, served.degraded, served.degradation_reason);
-        lock.lock();
     }
-    // A section answers only for the capabilities it was built under.
+    // A section answers only for the capabilities it was built under;
+    // the delta's section of the same name was built under the same.
     const ProfileIndex* section = generation ? generation->find_profile(profile.name) : nullptr;
     if (section && section->caps == profile.caps) {
         served.result.cert_ids = answer(*section);
-        scan(profile.caps, matches, generation->basis_size, served.result.cert_ids);
+        for (const ProfileIndex& tail : delta_.sections) {
+            if (tail.profile_name != profile.name) continue;
+            for (size_t id : answer(tail)) served.result.cert_ids.push_back(delta_.base + id);
+        }
         served.epoch = generation->epoch;
         served.tail_scanned = store_->size() - generation->basis_size;
         return served;
     }
 
     // Rung 3: parse and match every entry.
-    scan(profile.caps, matches, 0, served.result.cert_ids);
+    served.result.cert_ids = scan(profile.caps, matches);
     served.path = QueryPath::kScan;
     served.degraded = options.use_index;
     if (!options.use_index) {

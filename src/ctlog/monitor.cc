@@ -45,8 +45,7 @@ size_t Monitor::index(const x509::Certificate& cert) {
     // hiding, case folding) live in the shared matcher, which the
     // persistent index derives from too — scan and index paths cannot
     // drift.
-    index_.records.push_back(index::index_record(profile_.caps, cert));
-    stale_ = true;
+    index_.add(index::index_record(profile_.caps, cert));
     size_t id = index_.records.size() - 1;
     raise_alerts_for(id);
     return id;
@@ -182,7 +181,7 @@ SyncReport Monitor::sync(LogSource& source, const core::RetryPolicy& policy,
     return report;
 }
 
-QueryResult Monitor::query(std::string_view pattern) {
+QueryResult Monitor::query(std::string_view pattern) const {
     QueryResult result;
     const MonitorCapabilities& caps = profile_.caps;
 
@@ -194,15 +193,11 @@ QueryResult Monitor::query(std::string_view pattern) {
     }
 
     // --- Matching ----------------------------------------------------------
-    if (stale_) {
-        index_.finalize(caps);
-        stale_ = false;
-    }
     result.cert_ids = index::lookup(index_, caps, index::fold(caps, pattern));
     return result;
 }
 
-bool Monitor::would_find(std::string_view pattern, size_t id) {
+bool Monitor::would_find(std::string_view pattern, size_t id) const {
     QueryResult r = query(pattern);
     return r.query_accepted &&
            std::find(r.cert_ids.begin(), r.cert_ids.end(), id) != r.cert_ids.end();

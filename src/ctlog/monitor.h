@@ -75,7 +75,8 @@ struct SyncReport {
 
 class Monitor {
 public:
-    explicit Monitor(MonitorProfile profile) : profile_(std::move(profile)) {}
+    explicit Monitor(MonitorProfile profile)
+        : profile_(std::move(profile)), index_(profile_.name, profile_.caps) {}
 
     const MonitorProfile& profile() const noexcept { return profile_; }
 
@@ -100,13 +101,12 @@ public:
 
     // Field-based query ("example.com", "xn--mnchen-3ya.example", an O
     // value, …) per the profile's capabilities, answered by the same
-    // index lookup as the query service's index rung. The first query
-    // after new records finalizes the index.
-    QueryResult query(std::string_view pattern);
+    // index lookup as the query service's index rung.
+    QueryResult query(std::string_view pattern) const;
 
     // Would a query for `pattern` surface certificate `id`? Convenience
     // for the misleading-scenario bench.
-    bool would_find(std::string_view pattern, size_t id);
+    bool would_find(std::string_view pattern, size_t id) const;
 
     // ---- Watch / alerting (the workflow domain owners actually use) ----
 
@@ -128,8 +128,7 @@ private:
     void raise_alerts_for(size_t id);
 
     MonitorProfile profile_;
-    index::ProfileIndex index_;     // record position == certificate id
-    bool stale_ = false;            // records added since the last finalize()
+    index::ProfileIndex index_;     // record id == certificate id
     MonitorCheckpoint checkpoint_;  // sync cursor + last-seen tree head
     std::vector<std::string> watches_;
     std::vector<Alert> pending_alerts_;

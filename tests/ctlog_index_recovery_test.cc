@@ -4,8 +4,10 @@
 // answers BYTE-IDENTICAL to the linear scan — the index can cost time,
 // never correctness. Plus the randomized scan-vs-index answer-parity
 // property test (random corpora x all five profiles x fault seeds), the
-// in-memory Monitor vs service parity property, and the mid-query
-// corruption scenarios (pinned MVCC snapshots, injected read errors).
+// seeded ingest/query/refresh/restart interleaving property (rung 1 and
+// its delta vs the scan, folded vs built generations), the in-memory
+// Monitor vs service parity property, and the mid-query corruption
+// scenarios (pinned MVCC snapshots, injected read errors).
 #include "ctlog/index/query.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +24,8 @@ namespace {
 
 namespace oids = asn1::oids;
 
-store::PendingEntry entry_for(const std::string& cn, const std::string& san, int64_t ts) {
+store::PendingEntry entry_for(const std::string& cn, const std::string& san, int64_t ts,
+                              bool precert = false) {
     x509::Certificate cert;
     cert.version = 2;
     cert.serial = {0x07};
@@ -33,6 +36,7 @@ store::PendingEntry entry_for(const std::string& cn, const std::string& san, int
     cert.issuer = cert.subject;
     cert.validity = {asn1::make_time(2024, 1, 1), asn1::make_time(2024, 4, 1)};
     if (!san.empty()) cert.extensions.push_back(x509::make_san({x509::dns_name(san)}));
+    if (precert) cert.extensions.push_back(x509::make_ct_poison());
     crypto::SimSigner signer = crypto::SimSigner::from_name("recovery-test-ca");
     store::PendingEntry entry;
     entry.leaf_der = x509::sign_certificate(cert, signer);
@@ -74,14 +78,38 @@ std::vector<store::PendingEntry> random_corpus(Rng& rng) {
     return batch;
 }
 
+// An entry for the interleaving property: usually a host_for name,
+// sometimes a precertificate or a leaf that does not parse (both are
+// excluded records in every profile).
+store::PendingEntry random_entry(Rng& rng, int64_t ts) {
+    std::string host = host_for(rng.below(1000));
+    switch (rng.below(10)) {
+        case 0: return entry_for(host, host, ts, /*precert=*/true);
+        case 1: {
+            store::PendingEntry entry = entry_for(host, host, ts);
+            entry.leaf_der.resize(entry.leaf_der.size() / 2);  // torn DER
+            return entry;
+        }
+        default: return entry_for(host, rng.chance(0.3) ? "" : host, ts);
+    }
+}
+
 // The parity oracle: for every profile and query (and the
 // special-Unicode retrieval), the service's answer must be
-// byte-identical between the index rungs and the forced scan.
-void expect_full_parity(QueryService& service, const std::string& context) {
+// byte-identical between the index rungs and the forced scan. With
+// `rung1`, every accepted indexed answer must also come from rung 1.
+void expect_full_parity(QueryService& service, const std::string& context,
+                        bool rung1 = false) {
+    auto expect_rung1 = [&](const ServedQuery& served, const std::string& what) {
+        if (!rung1 || served.path == QueryPath::kRejected) return;
+        EXPECT_EQ(served.path, QueryPath::kIndex) << context << " " << what;
+        EXPECT_FALSE(served.degraded) << context << " " << what;
+    };
     for (const MonitorProfile& profile : monitor_profiles()) {
         for (const std::string& q : query_set()) {
             auto indexed = service.query(profile, q);
             auto scanned = service.query(profile, q, {.use_index = false});
+            expect_rung1(indexed, "profile=" + profile.name + " q='" + q + "'");
             EXPECT_EQ(indexed.result.query_accepted, scanned.result.query_accepted)
                 << context << " profile=" << profile.name << " q='" << q << "'";
             EXPECT_EQ(indexed.result.rejection_reason, scanned.result.rejection_reason)
@@ -94,6 +122,7 @@ void expect_full_parity(QueryService& service, const std::string& context) {
                              static_cast<uint8_t>(kFieldCn | kFieldSan)}) {
             auto indexed = service.special_unicode(profile, mask);
             auto scanned = service.special_unicode(profile, mask, {.use_index = false});
+            expect_rung1(indexed, "profile=" + profile.name + " mask=" + std::to_string(mask));
             EXPECT_EQ(indexed.result.cert_ids, scanned.result.cert_ids)
                 << context << " profile=" << profile.name << " mask=" << int(mask);
         }
@@ -208,6 +237,71 @@ TEST(IndexParityProperty, RandomCorporaRandomDamage) {
 
         QueryService service(fs, **store);
         expect_full_parity(service, "seed=" + std::to_string(seed));
+    }
+}
+
+TEST(IndexParityProperty, InterleavedIngestQueryRefreshRestart) {
+    // Random steps over one store: ingest 1-8 entries, query everything,
+    // refresh, or cold-restart the service over a newest generation whose
+    // basis is below the store size. Rung 1 (generation + delta) must
+    // answer exactly like the scan, and every refresh must publish the
+    // generation build_index would derive from the store.
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(0xDE17A000 + seed);
+        core::MemFs fs;
+        store::StoreOptions options;
+        options.create_if_missing = true;
+        auto store = store::Store::open(fs, "store", options);
+        ASSERT_TRUE(store.ok());
+        std::vector<store::PendingEntry> corpus = random_corpus(rng);
+        corpus.insert(corpus.begin() + static_cast<ptrdiff_t>(rng.below(corpus.size())),
+                      entry_for("precert.example", "precert.example", 0, /*precert=*/true));
+        store::PendingEntry torn = entry_for("torn.example", "torn.example", 0);
+        torn.leaf_der.resize(torn.leaf_der.size() / 2);
+        corpus.insert(corpus.begin() + static_cast<ptrdiff_t>(rng.below(corpus.size())),
+                      std::move(torn));
+        ASSERT_TRUE((*store)->append_batch(corpus).ok());
+
+        auto service = std::make_unique<QueryService>(fs, **store);
+        ASSERT_TRUE(service->refresh().ok());
+        int64_t ts = 1000;
+        auto ingest = [&] {
+            std::vector<store::PendingEntry> batch;
+            for (size_t n = 1 + rng.below(8); n > 0; --n) batch.push_back(random_entry(rng, ts++));
+            ASSERT_TRUE(service->ingest(batch).ok());
+        };
+        for (size_t step = 0; step < 24; ++step) {
+            std::string context = "seed=" + std::to_string(seed) + " step=" +
+                                  std::to_string(step) +
+                                  " size=" + std::to_string((*store)->size());
+            switch (rng.below(4)) {
+                case 0:
+                    ingest();
+                    break;
+                case 1:
+                    expect_full_parity(*service, context, /*rung1=*/true);
+                    break;
+                case 2: {
+                    ASSERT_TRUE(service->refresh().ok()) << context;
+                    auto pinned = service->pin();
+                    ASSERT_NE(pinned, nullptr) << context;
+                    EXPECT_EQ(pinned->basis_size, (*store)->size()) << context;
+                    EXPECT_EQ(encode_index(*pinned),
+                              encode_index(build_index(**store, pinned->epoch)))
+                        << context;
+                    break;
+                }
+                default: {
+                    ingest();
+                    service = std::make_unique<QueryService>(fs, **store);
+                    IndexFsckReport report = fsck_index(fs, **store);
+                    ASSERT_TRUE(report.valid_epoch.has_value()) << context;
+                    EXPECT_LT(report.valid_basis, (*store)->size()) << context;
+                    break;
+                }
+            }
+        }
+        expect_full_parity(*service, "seed=" + std::to_string(seed) + " end", /*rung1=*/true);
     }
 }
 

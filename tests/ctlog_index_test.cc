@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asn1/time.h"
 #include "core/fs.h"
 #include "crypto/simsig.h"
@@ -185,7 +187,7 @@ TEST(Format, DecodeErrorTaxonomy) {
 
     // Valid checksum but broken grammar: record_count != basis_size.
     IndexGeneration inconsistent = sample_generation();
-    inconsistent.profiles[0].records.pop_back();
+    inconsistent.profiles[0].records.push_back(IndexedRecord{});
     Bytes bad = encode_index(inconsistent);
     EXPECT_EQ(decode_index(BytesView(bad.data(), bad.size())).error().code,
               "index_bad_payload");
@@ -200,20 +202,22 @@ TEST(Format, FileNameRoundTrip) {
 }
 
 TEST(Format, FinalizeBuildsAcceleration) {
-    // finalize builds only what lookup reads under the given caps.
+    // add() posts only what lookup reads under the section's caps.
     IndexGeneration generation = sample_generation();
-    ProfileIndex exact_only = generation.profiles[0];
-    exact_only.finalize(profile("SSLMate Spotter").caps);
+    const RecordList& records = generation.profiles[0].records;
+    ProfileIndex exact_only("SSLMate Spotter", profile("SSLMate Spotter").caps);
+    for (const IndexedRecord& record : records) exact_only.add(record);
     EXPECT_EQ(exact_only.caps, profile("SSLMate Spotter").caps);
+    EXPECT_EQ(exact_only.records.size(), records.size());
     // Hidden and excluded records are not searchable.
     ASSERT_EQ(exact_only.exact.size(), 2u);
-    EXPECT_EQ(exact_only.exact[0].first, "alpha.example");  // sorted
-    EXPECT_EQ(exact_only.exact[0].second, (std::vector<uint32_t>{0}));
+    auto alpha = exact_only.exact.find(exact_key_hash("alpha.example"));
+    EXPECT_EQ(std::vector<uint32_t>(alpha.begin(), alpha.end()), (std::vector<uint32_t>{0}));
     EXPECT_TRUE(exact_only.trigrams.empty());
     EXPECT_TRUE(exact_only.searchable_ids.empty());
 
-    ProfileIndex fuzzy = generation.profiles[0];
-    fuzzy.finalize(profile("Crt.sh").caps);
+    ProfileIndex fuzzy("Crt.sh", profile("Crt.sh").caps);
+    for (const IndexedRecord& record : records) fuzzy.add(record);
     EXPECT_EQ(fuzzy.caps, profile("Crt.sh").caps);
     EXPECT_EQ(fuzzy.searchable_ids, (std::vector<uint32_t>{0}));
     EXPECT_FALSE(fuzzy.trigrams.empty());
@@ -222,6 +226,115 @@ TEST(Format, FinalizeBuildsAcceleration) {
     // class_postings reflect class_mask even for hidden records.
     for (const ProfileIndex* p : {&exact_only, &fuzzy}) {
         EXPECT_EQ(p->class_postings[0], (std::vector<uint32_t>{1}));  // bit 0 = kFieldCn
+    }
+}
+
+TEST(Format, PostingsGrowAndCopyWithoutLosingIds) {
+    // Enough keys to grow the table several times, lists long enough to
+    // move in the pool, and adds on both sides of a copy.
+    auto ids_for = [](uint64_t key, uint32_t below) {
+        std::vector<uint32_t> ids;
+        for (uint32_t id = 0; id < below; ++id) {
+            if (id % (1 + key % 7) == 0) ids.push_back(id);
+        }
+        return ids;
+    };
+    auto as_vector = [](std::span<const uint32_t> ids) {
+        return std::vector<uint32_t>(ids.begin(), ids.end());
+    };
+    Postings postings;
+    for (uint32_t id = 0; id < 40; ++id) {
+        for (uint64_t key = 0; key < 300; ++key) {
+            if (id % (1 + key % 7) == 0) {
+                postings.add(key * 0x10001, id);
+                postings.add(key * 0x10001, id);  // a repeat is not posted twice
+            }
+        }
+    }
+    Postings copy = postings;
+    for (uint64_t key = 0; key < 300; ++key) {
+        if (40 % (1 + key % 7) == 0) copy.add(key * 0x10001, 40);
+    }
+    EXPECT_EQ(postings.size(), 300u);
+    EXPECT_EQ(copy.size(), 300u);
+    for (uint64_t key = 0; key < 300; ++key) {
+        EXPECT_EQ(as_vector(postings.find(key * 0x10001)), ids_for(key, 40)) << key;
+        EXPECT_EQ(as_vector(copy.find(key * 0x10001)), ids_for(key, 41)) << key;
+    }
+    EXPECT_TRUE(postings.find(7).empty());
+    EXPECT_TRUE(Postings().find(7).empty());
+}
+
+TEST(Format, RecordListCopiesShareSealedChunks) {
+    // A copy shares every sealed chunk and owns a copy of the open one:
+    // appends on either side never show through the other.
+    auto record_for = [](size_t i) {
+        IndexedRecord record;
+        record.keys = {"host-" + std::to_string(i)};
+        return record;
+    };
+    const size_t first = 2 * RecordList::kChunkRecords + 76;
+    RecordList original;
+    for (size_t i = 0; i < first; ++i) original.push_back(record_for(i));
+    RecordList copy = original;
+    for (size_t i = first; i < first + RecordList::kChunkRecords; ++i) {
+        copy.push_back(record_for(i));
+        original.push_back(record_for(i + 100000));
+    }
+    ASSERT_EQ(copy.size(), first + RecordList::kChunkRecords);
+    ASSERT_EQ(original.size(), copy.size());
+    for (size_t i = 0; i < copy.size(); ++i) {
+        EXPECT_EQ(copy[i].keys.front(), "host-" + std::to_string(i)) << i;
+        EXPECT_EQ(original[i].keys.front(), "host-" + std::to_string(i < first ? i : i + 100000))
+            << i;
+    }
+    // Sealed records are the same objects; the open chunk was copied.
+    EXPECT_EQ(&copy[0], &original[0]);
+    EXPECT_EQ(&copy[2 * RecordList::kChunkRecords - 1], &original[2 * RecordList::kChunkRecords - 1]);
+    EXPECT_NE(&copy[first - 1], &original[first - 1]);
+    size_t visited = 0;
+    for (const IndexedRecord& record : copy) {
+        EXPECT_EQ(record.keys.front(), "host-" + std::to_string(visited));
+        ++visited;
+    }
+    EXPECT_EQ(visited, copy.size());
+}
+
+TEST(Format, AddedOneAtATimeAnswersLikeABatchBuild) {
+    // Records added one at a time, with lookups between the adds,
+    // answer every needle exactly as a section built from the whole
+    // batch at once: the postings are current after each add().
+    core::MemFs fs;
+    std::vector<std::string> hosts = {"alpha.example", "Beta.Example", "alpha.beta.example",
+                                      "victim\xE2\x80\x8B.com", "xn--mnchen-3ya.example"};
+    auto store = make_store(fs, "store", hosts);
+    IndexGeneration batch = build_index(*store, 1);
+    const std::vector<std::string> needles = {"alpha.example", "beta.example", "alpha", "a",
+                                              "", "example", "xn--mnchen-3ya.example", "zzz"};
+    for (const MonitorProfile& builtin : monitor_profiles()) {
+        const ProfileIndex* built = batch.find_profile(builtin.name);
+        ASSERT_NE(built, nullptr);
+        ProfileIndex grown(builtin.name, builtin.caps);
+        for (const IndexedRecord& record : built->records) {
+            grown.add(record);
+            // A batch build over the same prefix.
+            ProfileIndex prefix(builtin.name, builtin.caps);
+            for (size_t i = 0; i < grown.records.size(); ++i) prefix.add(built->records[i]);
+            for (const std::string& needle : needles) {
+                std::string folded = fold(builtin.caps, needle);
+                EXPECT_EQ(lookup(grown, builtin.caps, folded),
+                          lookup(prefix, builtin.caps, folded))
+                    << builtin.name << " after " << grown.records.size() << " q='" << needle
+                    << "'";
+            }
+            EXPECT_EQ(grown.class_postings, prefix.class_postings) << builtin.name;
+        }
+        for (const std::string& needle : needles) {
+            std::string folded = fold(builtin.caps, needle);
+            EXPECT_EQ(lookup(grown, builtin.caps, folded), lookup(*built, builtin.caps, folded))
+                << builtin.name << " q='" << needle << "'";
+        }
+        EXPECT_EQ(grown.searchable_ids, built->searchable_ids) << builtin.name;
     }
 }
 
@@ -249,7 +362,7 @@ TEST(Generations, BuildPublishLoadRoundTrip) {
     for (const auto& p : loaded->profiles) {
         EXPECT_EQ(p.records.size(), 3u);
     }
-    // Each section is finalized for its built-in profile's caps: an
+    // Each section posts for its built-in profile's caps: an
     // exact-only profile holds the exact table, a fuzzy one the trigrams.
     for (const MonitorProfile& builtin : monitor_profiles()) {
         const ProfileIndex* section = loaded->find_profile(builtin.name);
@@ -258,10 +371,15 @@ TEST(Generations, BuildPublishLoadRoundTrip) {
     }
     const ProfileIndex* facebook = loaded->find_profile("Facebook Monitor");
     EXPECT_TRUE(facebook->trigrams.empty());
-    // Keys are case-folded at derivation.
+    // Keys are case-folded at derivation, and each is posted under
+    // its record's id.
     EXPECT_FALSE(facebook->exact.empty());
-    for (const auto& [key, ids] : facebook->exact) {
-        EXPECT_EQ(key, ascii_fold(key));
+    for (uint32_t id = 0; id < facebook->records.size(); ++id) {
+        for (const std::string& key : facebook->records[id].keys) {
+            EXPECT_EQ(key, ascii_fold(key));
+            auto ids = facebook->exact.find(exact_key_hash(key));
+            EXPECT_TRUE(std::find(ids.begin(), ids.end(), id) != ids.end()) << key;
+        }
     }
     const ProfileIndex* crtsh = loaded->find_profile("Crt.sh");
     EXPECT_TRUE(crtsh->exact.empty());

@@ -1,12 +1,14 @@
 // Tests for the self-healing query service: the degradation ladder
 // (fresh index → rebuilt index → linear scan), MVCC snapshot pinning,
-// the stale-generation tail merge that keeps answers exact during
-// ingestion, and reader/writer concurrency.
+// the delta past a stale generation's basis that keeps answers exact
+// during ingestion, and reader/writer concurrency.
 #include "ctlog/index/query.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "asn1/time.h"
@@ -297,26 +299,78 @@ TEST(QueryService, PinnedSnapshotSurvivesRefresh) {
     EXPECT_EQ(service.pin()->basis_size, 2u);
 }
 
+TEST(QueryService, RefreshAfterLoadDerivesFromTheStore) {
+    // Generations on this store's history that a fold must not extend:
+    // a subset of the built-in sections, a renamed section, and records
+    // that other derivation rules produced. Each loads, so rung 1
+    // serves it; the next refresh derives from the store.
+    const std::vector<std::function<void(IndexGeneration&)>> variants = {
+        [](IndexGeneration& g) { g.profiles.pop_back(); },
+        [](IndexGeneration& g) { g.profiles[1].profile_name += " (old rules)"; },
+        [](IndexGeneration& g) {
+            ProfileIndex& section = g.profiles[0];
+            ProfileIndex changed(section.profile_name, *section.caps);
+            for (IndexedRecord record : section.records) {
+                record.keys.push_back("old-rule.example");
+                changed.add(std::move(record));
+            }
+            section = std::move(changed);
+        },
+    };
+    for (size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE(v);
+        Fixture fx({"alpha.example", "beta.example"});
+        IndexGeneration on_disk = build_index(*fx.store, 1);
+        variants[v](on_disk);
+        ASSERT_TRUE(publish_index(fx.fs, fx.store->dir(), on_disk).ok());
+
+        QueryService service(fx.fs, *fx.store);
+        auto loaded = service.query(profile("Crt.sh"), "alpha");
+        EXPECT_EQ(loaded.path, QueryPath::kIndex);
+        EXPECT_EQ(loaded.epoch, 1u);
+        std::vector<store::PendingEntry> more = {entry_for("gamma.example", "gamma.example", 9)};
+        ASSERT_TRUE(service.ingest(more).ok());
+        ASSERT_TRUE(service.refresh().ok());
+
+        auto pinned = service.pin();
+        ASSERT_NE(pinned, nullptr);
+        EXPECT_EQ(pinned->epoch, 2u);
+        EXPECT_EQ(encode_index(*pinned), encode_index(build_index(*fx.store, pinned->epoch)));
+        EXPECT_TRUE(service.query(profile("Crt.sh"), "old-rule").result.cert_ids.empty());
+    }
+}
+
 TEST(QueryService, ConcurrentReadersDuringIngestion) {
     Fixture fx({"host-0.example", "host-1.example", "host-2.example"});
     QueryService service(fx.fs, *fx.store);
     ASSERT_TRUE(service.refresh().ok());
 
+    // Entries the writer's ingest() calls have committed. Every host
+    // matches "host-", so a query that starts after an ingest returned
+    // must find every id below the count: a generation paired with
+    // another generation's delta, or a delta that lags the store,
+    // drops some.
+    std::atomic<size_t> committed{fx.store->size()};
     std::atomic<bool> stop{false};
     std::atomic<size_t> failures{0};
     std::vector<std::thread> readers;
     for (int r = 0; r < 3; ++r) {
         readers.emplace_back([&] {
             while (!stop.load()) {
+                size_t floor = committed.load();
                 auto served = service.query(profile("Crt.sh"), "host-");
+                const std::vector<size_t>& ids = served.result.cert_ids;
                 // Answers are always sorted, duplicate-free store ids,
                 // no matter how the writer interleaves.
-                for (size_t i = 1; i < served.result.cert_ids.size(); ++i) {
-                    if (served.result.cert_ids[i - 1] >= served.result.cert_ids[i]) {
+                for (size_t i = 1; i < ids.size(); ++i) {
+                    if (ids[i - 1] >= ids[i]) failures.fetch_add(1);
+                }
+                for (size_t id = 0; id < floor; ++id) {
+                    if (!std::binary_search(ids.begin(), ids.end(), id)) {
                         failures.fetch_add(1);
+                        break;
                     }
                 }
-                if (served.result.cert_ids.size() < 3) failures.fetch_add(1);
             }
         });
     }
@@ -325,6 +379,7 @@ TEST(QueryService, ConcurrentReadersDuringIngestion) {
             entry_for("host-" + std::to_string(3 + batch) + ".example",
                       "host-" + std::to_string(3 + batch) + ".example", 100 + batch)};
         ASSERT_TRUE(service.ingest(entries).ok());
+        committed.store(4 + static_cast<size_t>(batch));
         if (batch % 4 == 3) ASSERT_TRUE(service.refresh().ok());
     }
     stop.store(true);
