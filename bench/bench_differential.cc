@@ -119,12 +119,11 @@ Discovery bench_campaign() {
     difffuzz::FaultyModel faulty = make_discovery_model(clock);
     core::MemFs fs;
     difffuzz::CrashCorpus corpus("camp/corpus", &fs);
-    difffuzz::campaign::CheckpointStore store(fs, "camp");
     difffuzz::campaign::CampaignOptions options;
     options.seed = kDiscoverySeed;
     options.batch_size = 16;
     options.max_evals = kDiscoveryInputs;
-    difffuzz::campaign::Campaign campaign(options, corpus, store, faulty, clock);
+    difffuzz::campaign::Campaign campaign(options, corpus, fs, "camp", faulty, clock);
     Discovery d;
     const double start = now_seconds();
     if (campaign.start_fresh().ok()) (void)campaign.run();

@@ -49,12 +49,18 @@ Status GenerationStore::commit(std::string_view payload, uint64_t generation) {
     if (!st.ok()) return st;
     last_committed_ = generation;
 
-    // Best-effort prune of generations older than the newest `keep_`.
+    // Best-effort prune of generations older than the newest `keep_`,
+    // and of temp files an interrupted commit left behind: that commit
+    // was never acknowledged, so dropping its temp file loses nothing.
     auto names = fs_->list_dir(dir_);
     if (!names.ok()) return Status::success();
     std::vector<uint64_t> generations;
     for (const std::string& name : *names) {
-        if (auto gen = parse_file_name(name)) generations.push_back(*gen);
+        if (auto gen = parse_file_name(name)) {
+            generations.push_back(*gen);
+        } else if (name.ends_with(".tmp")) {
+            (void)fs_->remove(dir_ + "/" + name);
+        }
     }
     std::sort(generations.begin(), generations.end());
     if (generations.size() <= keep_) return Status::success();
@@ -80,11 +86,11 @@ Expected<RecoveredGeneration> GenerationStore::recover(const Validator& validate
         if (auto gen = parse_file_name(name)) {
             generations.push_back(*gen);
         } else if (name.ends_with(".tmp")) {
-            // An interrupted commit; the generation it was writing was
-            // never acknowledged, so dropping it loses nothing.
-            (void)fs_->remove(dir_ + "/" + name);
+            // An interrupted commit, or a live writer's in-flight one:
+            // either way not ours to remove. The next commit sweeps it.
             ++recovered.stray_temp_files;
-            recovered.notes.push_back("removed stray temp file " + name);
+            recovered.notes.push_back("stray temp file " + name +
+                                      " (left for the next commit to remove)");
         }
     }
     std::sort(generations.rbegin(), generations.rend());

@@ -1,21 +1,22 @@
 // unicert/core/generation_store.h
 //
-// Generic atomically-committed generation store: the checkpointing
-// discipline the fuzzing campaigns established (DESIGN.md section 11),
-// hoisted out of difffuzz so every long-running engine (campaigns, the
-// threat-scenario engine, future ingestion jobs) lands its checksummed
-// state the same way. Each generation is one opaque payload written
-// with the write-temp-fsync-rename pattern through the core::Fs seam,
-// so a crash at any filesystem operation leaves either the previous
-// generation or the new one fully intact, never a mix. Recovery scans
-// the directory newest-first and returns the first generation whose
-// payload the caller-supplied validator accepts; torn or bit-rotted
-// files are skipped (and noted), stray temp files from an interrupted
-// commit are removed.
+// The atomically-committed generation store every long-running engine
+// (the fuzzing campaign, the threat-scenario engine) lands its state
+// through (DESIGN.md section 11). Each generation is one opaque payload
+// written with the write-temp-fsync-rename pattern through the core::Fs
+// seam, so a crash at any filesystem operation leaves either the
+// previous generation or the new one fully intact, never a mix.
 //
-// The store is format-agnostic: payload integrity (the checksum
-// trailer) belongs to the caller's serialization, which is what the
-// validator checks during recovery.
+// Recovery is read-only: it scans the directory newest-first and
+// returns the first generation whose payload the caller-supplied
+// validator accepts; torn or bit-rotted files are skipped and noted,
+// and stray temp files are counted and noted but left in place — one
+// may be a live writer's in-flight commit, so `--status` or a refusal
+// probe must never delete it. The next commit() removes strays while it
+// lists the directory to prune.
+//
+// Payload integrity belongs to the caller's serialization: engines seal
+// their state with core/sealed_state.h, and the validator unseals it.
 #pragma once
 
 #include <functional>
@@ -34,8 +35,8 @@ struct RecoveredGeneration {
     uint64_t generation = 0;
     bool found = false;
     size_t corrupt_skipped = 0;       // generations the validator rejected
-    size_t stray_temp_files = 0;      // interrupted-commit leftovers removed
-    std::vector<std::string> notes;   // one line per skipped/cleaned file
+    size_t stray_temp_files = 0;      // interrupted-commit leftovers seen (left in place)
+    std::vector<std::string> notes;   // one line per skipped or stray file
 };
 
 class GenerationStore {
@@ -57,16 +58,18 @@ public:
     // mkdir -p the state directory.
     Status init();
 
-    // Atomically commit `payload` as generation `generation`.
-    // Idempotent per generation number: re-committing the same
+    // Atomically commit `payload` as generation `generation`, then
+    // prune generations older than the newest `keep` and remove stray
+    // temp files (one writer per directory, so no other commit is in
+    // flight). Idempotent per generation number: re-committing the same
     // generation is a no-op. Prune failures are swallowed — an old
     // generation left behind is garbage, not corruption.
     Status commit(std::string_view payload, uint64_t generation);
 
-    // Newest generation `validate` accepts. Error code
-    // <prefix>_unrecoverable when generation files exist but none
-    // validates (an acknowledged commit was lost — the invariant the
-    // kill-point sweeps assert never fires).
+    // Newest generation `validate` accepts; modifies nothing on disk.
+    // Error code <prefix>_unrecoverable when generation files exist but
+    // none validates (an acknowledged commit was lost — the invariant
+    // the kill-point sweeps assert never fires).
     Expected<RecoveredGeneration> recover(const Validator& validate);
 
     // Highest generation commit() has acknowledged this process run.

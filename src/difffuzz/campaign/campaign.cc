@@ -5,6 +5,7 @@
 
 #include "core/executor.h"
 #include "faultsim/der_mutator.h"
+#include "faultsim/harness_fence.h"
 
 namespace unicert::difffuzz::campaign {
 namespace {
@@ -20,15 +21,6 @@ uint64_t mix64(uint64_t x) noexcept {
 size_t initial_seed_count() {
     static const size_t count = DiffFuzzer::seed_inputs().size();
     return count;
-}
-
-faultsim::FaultPlanOptions harness_plan_options(const CampaignOptions& options) {
-    faultsim::FaultPlanOptions plan;
-    plan.seed = options.seed ^ 0xCA3BA16EULL;  // decoupled from the mutation stream
-    plan.transient_rate = options.flake_rate;
-    plan.poison_rate = options.poison_rate;
-    plan.transient_failures = options.flake_failures;
-    return plan;
 }
 
 FuzzOptions eval_options(const CampaignOptions& options) {
@@ -49,19 +41,16 @@ struct Campaign::Slot {
     Bytes input;
     std::vector<InputEval> evals;
     bool ok = false;
-    Error error;
-    size_t retries = 0;
+    uint64_t retries = 0;
 };
 
-Campaign::Campaign(CampaignOptions options, CrashCorpus& corpus, CheckpointStore& store,
-                   tlslib::LibraryModel& model, core::Clock& clock)
+Campaign::Campaign(CampaignOptions options, CrashCorpus& corpus, core::Fs& fs,
+                   std::string state_dir, tlslib::LibraryModel& model, core::Clock& clock)
     : options_(options),
       corpus_(&corpus),
-      store_(&store),
-      model_(&model),
       clock_(&clock),
-      fuzzer_(corpus, eval_options(options), model, clock),
-      harness_plan_(harness_plan_options(options)) {}
+      store_(fs, std::move(state_dir), "campaign"),
+      fuzzer_(corpus, eval_options(options), model, clock) {}
 
 Status Campaign::start_fresh() {
     state_ = CampaignState{};
@@ -74,17 +63,23 @@ Status Campaign::start_fresh() {
         entry.payload = std::move(seeds[i]);
         state_.corpus.push_back(std::move(entry));
     }
-    if (Status st = store_->init(); !st.ok()) return st;
-    return store_->commit(state_, 0);
+    if (Status st = store_.init(); !st.ok()) return st;
+    return store_.commit(serialize_state(state_), 0);
 }
 
-Expected<RecoveredCheckpoint> Campaign::resume() {
-    auto recovered = store_->recover();
+Expected<core::RecoveredGeneration> Campaign::resume() {
+    CampaignState recovered_state;
+    auto recovered = store_.recover([&recovered_state](std::string_view payload) -> Status {
+        auto state = parse_state(payload);
+        if (!state.ok()) return state.error();
+        recovered_state = std::move(state).value();
+        return Status::success();
+    });
     if (!recovered.ok()) return recovered.error();
     if (!recovered->found) {
-        return Error{"campaign_no_checkpoint", "no checkpoint in " + store_->dir()};
+        return Error{"campaign_no_checkpoint", "no checkpoint in " + store_.dir()};
     }
-    state_ = recovered->state;
+    state_ = std::move(recovered_state);
     return recovered;
 }
 
@@ -99,38 +94,14 @@ size_t Campaign::pick_parent(uint64_t salt) const {
     return state_.corpus.size() - 1;
 }
 
-void Campaign::evaluate_slot(Slot& slot) {
-    int attempt_no = 0;
-    auto attempt = [&]() -> Expected<std::vector<InputEval>> {
-        int attempt_index = attempt_no++;
-        // Harness-level fault injection, keyed by salt so the schedule
-        // is identical at any job count or retry interleaving.
-        if (harness_plan_.fires(faultsim::FaultKind::kPoison, slot.salt)) {
-            return Error{"eval_poisoned", "injected permanent worker failure"};
-        }
-        if (harness_plan_.fires(faultsim::FaultKind::kTransient, slot.salt) &&
-            attempt_index < options_.flake_failures) {
-            return Error{"timeout", "injected transient worker failure"};
-        }
-        // Hard fence: evaluate_input contains model misbehaviour
-        // itself, but a harness bug must not take the campaign down.
-        try {
-            return fuzzer_.evaluate_input(slot.input);
-        } catch (const std::exception& e) {
-            return Error{"eval_crashed", e.what()};
-        } catch (...) {
-            return Error{"eval_crashed", "non-standard exception"};
-        }
-    };
-    core::RetryOutcome outcome;
-    auto result =
-        core::retry<std::vector<InputEval>>(options_.retry, *clock_, attempt, &outcome);
-    slot.retries = outcome.retries;
+void Campaign::evaluate_slot(Slot& slot, const faultsim::HarnessFence& fence) {
+    // evaluate_input contains model misbehaviour itself; the fence
+    // keeps a harness bug from taking the campaign down.
+    auto result = fence.run<std::vector<InputEval>>(
+        slot.salt, [&] { return fuzzer_.evaluate_input(slot.input); }, &slot.retries);
     if (result.ok()) {
         slot.evals = std::move(result).value();
         slot.ok = true;
-    } else {
-        slot.error = result.error();
     }
 }
 
@@ -211,6 +182,13 @@ CampaignReport Campaign::run() {
     const int64_t start_ms = clock_->now_ms();
     core::Executor executor(std::max<size_t>(options_.jobs, 1));
     faultsim::DerMutator mutator(state_.seed);
+    // Seeded from the checkpoint, salted apart from the mutation stream.
+    const faultsim::HarnessFence fence({.seed = state_.seed ^ 0xCA3BA16EULL,
+                                        .flake_rate = options_.flake_rate,
+                                        .poison_rate = options_.poison_rate,
+                                        .flake_failures = options_.flake_failures,
+                                        .retry = options_.retry},
+                                       *clock_);
 
     for (;;) {
         if (options_.max_evals > 0 && state_.next_salt >= options_.max_evals) {
@@ -240,7 +218,7 @@ CampaignReport Campaign::run() {
         // Fan out, then merge in salt order: byte-identical state at
         // any job count.
         for (Slot& slot : slots) {
-            executor.submit([this, &slot] { evaluate_slot(slot); });
+            executor.submit([this, &slot, &fence] { evaluate_slot(slot, fence); });
         }
         executor.wait_idle();
         for (const Slot& slot : slots) merge_slot(slot, report);
@@ -256,7 +234,8 @@ CampaignReport Campaign::run() {
         }
         if (options_.checkpoint_every > 0 &&
             state_.batches_done % options_.checkpoint_every == 0) {
-            if (Status st = store_->commit(state_, state_.batches_done); !st.ok()) {
+            if (Status st = store_.commit(serialize_state(state_), state_.batches_done);
+                !st.ok()) {
                 report.io = st;
                 break;
             }
@@ -266,8 +245,8 @@ CampaignReport Campaign::run() {
 
     // Commit whatever progress the stop condition left uncheckpointed.
     if (report.io.ok() &&
-        (!store_->last_committed() || *store_->last_committed() != state_.batches_done)) {
-        if (Status st = store_->commit(state_, state_.batches_done); st.ok()) {
+        (!store_.last_committed() || *store_.last_committed() != state_.batches_done)) {
+        if (Status st = store_.commit(serialize_state(state_), state_.batches_done); st.ok()) {
             ++report.checkpoints;
         } else {
             report.io = st;

@@ -18,16 +18,20 @@
 // at any job count. A worker evaluation that crashes or hangs at the
 // harness level is retried through the core::resilience ladder
 // (transient faults) or quarantined (permanent ones) without poisoning
-// the schedule: the input's salt is consumed either way.
+// the schedule: the input's salt is consumed either way. The fault
+// fence doing this, faultsim::HarnessFence, is shared with the scenario
+// engine, keyed by salt and seeded from the checkpoint.
 //
-// Robustness core: after every checkpoint interval the full campaign
-// state is committed as a checksummed generation through the core::Fs
-// seam (CheckpointStore). Because planning is deterministic in
-// (seed, salt), a kill -9 at any filesystem operation resumes from the
-// last committed generation and replays the lost tail identically —
-// resumed campaigns are byte-equivalent to uninterrupted ones, the
-// property the kill-point sweep in tests/difffuzz_campaign_recovery_
-// test.cc proves over every FaultyFs fault site.
+// Robustness core: the campaign owns a core::GenerationStore in its
+// state directory, the same commit path as the scenario engine. After
+// every checkpoint interval the full campaign state is committed as a
+// sealed `unicert-campaign-v1` generation through the core::Fs seam.
+// Because planning is deterministic in (seed, salt), a kill -9 at any
+// filesystem operation resumes from the last committed generation and
+// replays the lost tail identically — resumed campaigns are
+// byte-equivalent to uninterrupted ones, the property the kill-point
+// sweep in tests/difffuzz_campaign_recovery_test.cc proves over every
+// FaultyFs fault site.
 //
 // Caveat for injected-clock runs: retry-ladder sleeps advance the
 // shared clock, so keep per-call wall budgets comfortably above the
@@ -37,11 +41,15 @@
 
 #include <string>
 
+#include "core/generation_store.h"
 #include "core/resilience.h"
-#include "difffuzz/campaign/checkpoint.h"
+#include "difffuzz/campaign/state.h"
 #include "difffuzz/crash_corpus.h"
 #include "difffuzz/fuzzer.h"
-#include "faultsim/fault_plan.h"
+
+namespace unicert::faultsim {
+class HarnessFence;
+}
 
 namespace unicert::difffuzz::campaign {
 
@@ -67,9 +75,10 @@ struct CampaignOptions {
     size_t corpus_max = 64;     // live-corpus cap; least productive evicted
 
     // Harness-level worker fault injection (deterministic per input
-    // salt, for supervision tests and chaos CI): flakes fail
-    // `flake_failures` times then recover under the retry ladder;
-    // poisoned inputs fail permanently and are quarantined.
+    // salt and keyed by the checkpoint's seed, for supervision tests and
+    // chaos CI): flakes fail `flake_failures` times then recover under
+    // the retry ladder; poisoned inputs fail permanently and are
+    // quarantined.
     double flake_rate = 0.0;
     double poison_rate = 0.0;
     int flake_failures = 2;
@@ -91,10 +100,11 @@ struct CampaignReport {
 
 class Campaign {
 public:
-    // `corpus` receives one CrashEntry per discovered bucket (its
-    // persist failures stop the campaign); `store` owns checkpoint
-    // durability. Both write through whatever Fs they were built on.
-    Campaign(CampaignOptions options, CrashCorpus& corpus, CheckpointStore& store,
+    // Checkpoint generations land in `state_dir` under `fs`. `corpus`
+    // receives one CrashEntry per discovered bucket (its persist
+    // failures stop the campaign) and writes through whatever Fs it was
+    // built on.
+    Campaign(CampaignOptions options, CrashCorpus& corpus, core::Fs& fs, std::string state_dir,
              tlslib::LibraryModel& model = tlslib::builtin_model(),
              core::Clock& clock = core::system_clock());
 
@@ -103,9 +113,11 @@ public:
     // resumes cleanly.
     Status start_fresh();
 
-    // Continue from the newest valid checkpoint generation. Error code
-    // campaign_no_checkpoint when the state directory has none.
-    Expected<RecoveredCheckpoint> resume();
+    // Continue from the newest valid checkpoint generation; the
+    // recovered state is then state(). Read-only on disk. Error code
+    // campaign_no_checkpoint when the state directory has none. The
+    // checkpoint's seed, not the options', drives the resumed run.
+    Expected<core::RecoveredGeneration> resume();
 
     // Run batches until a stop condition or an I/O failure; commits a
     // final generation for whatever progress was made.
@@ -113,23 +125,22 @@ public:
 
     const CampaignOptions& options() const noexcept { return options_; }
     const CampaignState& state() const noexcept { return state_; }
+    core::GenerationStore& store() noexcept { return store_; }
 
 private:
     struct Slot;  // one planned input in flight
 
     size_t pick_parent(uint64_t salt) const;
-    void evaluate_slot(Slot& slot);
+    void evaluate_slot(Slot& slot, const faultsim::HarnessFence& fence);
     void merge_slot(const Slot& slot, CampaignReport& report);
     void evict_to_cap();
 
     CampaignOptions options_;
     CrashCorpus* corpus_;
-    CheckpointStore* store_;
-    tlslib::LibraryModel* model_;
     core::Clock* clock_;
+    core::GenerationStore store_;
     CampaignState state_;
     DiffFuzzer fuzzer_;  // evaluation engine (evaluate_input only)
-    faultsim::FaultPlan harness_plan_;
 };
 
 // One-line human summary ("gen 12 | inputs 384 | buckets 17 | ...").

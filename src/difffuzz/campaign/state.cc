@@ -1,19 +1,9 @@
 #include "difffuzz/campaign/state.h"
 
-#include <charconv>
-#include <sstream>
-
-#include "crypto/sha256.h"
+#include "core/sealed_state.h"
 
 namespace unicert::difffuzz::campaign {
 namespace {
-
-constexpr std::string_view kChecksumKey = "checksum: ";
-
-bool parse_u64_field(std::string_view text, uint64_t* out) {
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-    return ec == std::errc{} && ptr == text.data() + text.size();
-}
 
 // Split "a b c" on single spaces; returns false when the field count
 // does not match.
@@ -32,95 +22,52 @@ bool split_fields(std::string_view line, std::vector<std::string_view>& out, siz
 }  // namespace
 
 std::string serialize_state(const CampaignState& state) {
-    std::ostringstream out;
-    out << kStateMagic << "\n";
-    out << "seed: " << state.seed << "\n";
-    out << "next_salt: " << state.next_salt << "\n";
-    out << "batches_done: " << state.batches_done << "\n";
-    out << "evals: " << state.evals << "\n";
-    out << "failures: " << state.failures << "\n";
-    out << "quarantined: " << state.quarantined << "\n";
-    for (const std::string& key : state.buckets) {
-        out << "bucket: " << key << "\n";
-    }
+    core::SealedStateWriter out(kStateMagic);
+    out.field("seed", state.seed);
+    out.field("next_salt", state.next_salt);
+    out.field("batches_done", state.batches_done);
+    out.field("evals", state.evals);
+    out.field("failures", state.failures);
+    out.field("quarantined", state.quarantined);
+    for (const std::string& key : state.buckets) out.field("bucket", key);
     for (const SeedEntry& entry : state.corpus) {
-        out << "seed_entry: " << entry.id << " " << entry.energy << " " << entry.discoveries
-            << " " << entry.trials << " " << hex_encode(entry.payload) << "\n";
+        out.field("seed_entry", std::to_string(entry.id) + " " + std::to_string(entry.energy) +
+                                    " " + std::to_string(entry.discoveries) + " " +
+                                    std::to_string(entry.trials) + " " +
+                                    hex_encode(entry.payload));
     }
-    std::string body = out.str();
-    crypto::Digest digest = crypto::sha256(
-        BytesView(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
-    body += std::string(kChecksumKey) + hex_encode(digest) + "\n";
-    return body;
+    return std::move(out).seal();
 }
 
 Expected<CampaignState> parse_state(std::string_view text) {
-    // Magic first, so a wrong-format file reads as such rather than as
-    // a torn checkpoint.
-    if (!text.starts_with(kStateMagic) ||
-        (text.size() > kStateMagic.size() && text[kStateMagic.size()] != '\n')) {
-        return Error{"campaign_bad_magic", "not a unicert-campaign-v1 checkpoint"};
-    }
-    // The checksum line must be the last line and must cover everything
-    // before it — a file cut anywhere (even mid-checksum) fails here.
-    size_t trailer = text.rfind(kChecksumKey);
-    if (trailer == std::string_view::npos || trailer + kChecksumKey.size() + 65 != text.size() ||
-        text.back() != '\n') {
-        return Error{"campaign_truncated", "checkpoint has no complete checksum trailer"};
-    }
-    std::string_view body = text.substr(0, trailer);
-    std::string_view stored = text.substr(trailer + kChecksumKey.size(), 64);
-    crypto::Digest digest = crypto::sha256(
-        BytesView(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
-    if (hex_encode(digest) != stored) {
-        return Error{"campaign_checksum", "checkpoint checksum mismatch"};
-    }
-
-    std::istringstream in{std::string(body)};
-    std::string line;
-    if (!std::getline(in, line) || line != kStateMagic) {
-        return Error{"campaign_bad_magic", "not a unicert-campaign-v1 checkpoint"};
-    }
     CampaignState state;
     std::vector<std::string_view> fields;
-    while (std::getline(in, line)) {
-        size_t colon = line.find(": ");
-        if (colon == std::string::npos) {
-            return Error{"campaign_bad_field", "malformed line: " + line};
-        }
-        std::string_view key(line.data(), colon);
-        std::string_view value(line.data() + colon + 2, line.size() - colon - 2);
-        bool ok = true;
-        if (key == "seed") {
-            ok = parse_u64_field(value, &state.seed);
-        } else if (key == "next_salt") {
-            ok = parse_u64_field(value, &state.next_salt);
-        } else if (key == "batches_done") {
-            ok = parse_u64_field(value, &state.batches_done);
-        } else if (key == "evals") {
-            ok = parse_u64_field(value, &state.evals);
-        } else if (key == "failures") {
-            ok = parse_u64_field(value, &state.failures);
-        } else if (key == "quarantined") {
-            ok = parse_u64_field(value, &state.quarantined);
-        } else if (key == "bucket") {
-            state.buckets.insert(std::string(value));
-        } else if (key == "seed_entry") {
-            SeedEntry entry;
-            ok = split_fields(value, fields, 5) && parse_u64_field(fields[0], &entry.id) &&
-                 parse_u64_field(fields[1], &entry.energy) &&
-                 parse_u64_field(fields[2], &entry.discoveries) &&
-                 parse_u64_field(fields[3], &entry.trials);
-            if (ok) {
+    Status parsed = core::unseal_state(
+        text, kStateMagic, "campaign", [&](std::string_view key, std::string_view value) {
+            using core::parse_u64;
+            if (key == "seed") return parse_u64(value, &state.seed);
+            if (key == "next_salt") return parse_u64(value, &state.next_salt);
+            if (key == "batches_done") return parse_u64(value, &state.batches_done);
+            if (key == "evals") return parse_u64(value, &state.evals);
+            if (key == "failures") return parse_u64(value, &state.failures);
+            if (key == "quarantined") return parse_u64(value, &state.quarantined);
+            if (key == "bucket") {
+                state.buckets.insert(std::string(value));
+            } else if (key == "seed_entry") {
+                SeedEntry entry;
+                if (!split_fields(value, fields, 5) || !parse_u64(fields[0], &entry.id) ||
+                    !parse_u64(fields[1], &entry.energy) ||
+                    !parse_u64(fields[2], &entry.discoveries) ||
+                    !parse_u64(fields[3], &entry.trials)) {
+                    return false;
+                }
                 entry.payload = hex_decode(fields[4]);
-                ok = !entry.payload.empty() || fields[4].empty();
+                if (entry.payload.empty() && !fields[4].empty()) return false;
+                state.corpus.push_back(std::move(entry));
             }
-            if (ok) state.corpus.push_back(std::move(entry));
-        }
-        // Unknown keys are ignored for forward compatibility; the
-        // checksum already guarantees they are not corruption.
-        if (!ok) return Error{"campaign_bad_field", "malformed line: " + line};
-    }
+            return true;  // unknown keys: forward compatibility
+        });
+    if (!parsed.ok()) return parsed.error();
     return state;
 }
 

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "core/executor.h"
-#include "faultsim/fault_plan.h"
+#include "faultsim/harness_fence.h"
 
 namespace unicert::threat::scenario {
 namespace {
@@ -17,16 +17,6 @@ uint64_t to_ppm(double rate) {
 
 double from_ppm(uint64_t ppm) {
     return static_cast<double>(ppm) / static_cast<double>(kPpm);
-}
-
-faultsim::FaultPlanOptions harness_plan_options(const ScenarioOptions& options,
-                                                uint64_t seed) {
-    faultsim::FaultPlanOptions plan;
-    plan.seed = seed ^ 0xF1EE7CA5ULL;  // decoupled from the traffic stream
-    plan.transient_rate = options.flake_rate;
-    plan.poison_rate = options.poison_rate;
-    plan.transient_failures = options.flake_failures;
-    return plan;
 }
 
 }  // namespace
@@ -45,7 +35,6 @@ struct ScenarioEngine::Shard {
 ScenarioEngine::ScenarioEngine(ScenarioOptions options, core::Fs& fs, std::string state_dir,
                                core::Clock& clock)
     : options_(std::move(options)),
-      fs_(&fs),
       clock_(&clock),
       store_(fs, std::move(state_dir), "scenario") {}
 
@@ -67,63 +56,30 @@ Status ScenarioEngine::start_fresh() {
     return store_.commit(serialize_state(state_), 0);
 }
 
-Expected<RecoveredScenario> ScenarioEngine::resume() {
-    auto raw = store_.recover([](std::string_view payload) -> Status {
+Expected<core::RecoveredGeneration> ScenarioEngine::resume() {
+    ScenarioState recovered_state;
+    auto recovered = store_.recover([&recovered_state](std::string_view payload) -> Status {
         auto state = parse_state(payload);
         if (!state.ok()) return state.error();
+        recovered_state = std::move(state).value();
         return Status::success();
     });
-    if (!raw.ok()) return raw.error();
-    if (!raw->found) {
+    if (!recovered.ok()) return recovered.error();
+    if (!recovered->found) {
         return Error{"scenario_no_checkpoint", "no checkpoint in " + store_.dir()};
     }
-    RecoveredScenario recovered;
-    recovered.generation = raw->generation;
-    recovered.found = true;
-    recovered.corrupt_skipped = raw->corrupt_skipped;
-    recovered.stray_temp_files = raw->stray_temp_files;
-    recovered.notes = std::move(raw->notes);
-    auto state = parse_state(raw->payload);
-    if (!state.ok()) return state.error();  // validated above; unreachable
-    recovered.state = std::move(state).value();
-    state_ = recovered.state;
+    state_ = std::move(recovered_state);
     started_ = true;
     return recovered;
 }
 
 void ScenarioEngine::evaluate_shard(Shard& shard, const TrafficModel& model,
-                                    const DetectionMatrix& matrix,
-                                    const KeyTable& keys) const {
-    faultsim::FaultPlan plan(harness_plan_options(options_, model.seed));
+                                    const DetectionMatrix& matrix, const KeyTable& keys,
+                                    const faultsim::HarnessFence& fence) const {
     shard.tally.assign(keys.size(), 0);
     for (uint64_t user = shard.begin; user < shard.end; ++user) {
-        int attempt_no = 0;
-        auto attempt = [&]() -> Expected<HandshakeSample> {
-            int attempt_index = attempt_no++;
-            // Harness-level fault injection, keyed by user index so the
-            // schedule is identical at any job count or retry
-            // interleaving.
-            if (plan.fires(faultsim::FaultKind::kPoison, user)) {
-                return Error{"profile_poisoned", "injected permanent profile failure"};
-            }
-            if (plan.fires(faultsim::FaultKind::kTransient, user) &&
-                attempt_index < options_.flake_failures) {
-                return Error{"timeout", "injected transient profile failure"};
-            }
-            // Hard fence: a profile-model bug must not take the
-            // simulation down.
-            try {
-                return synthesize_handshake(model, user);
-            } catch (const std::exception& e) {
-                return Error{"profile_crashed", e.what()};
-            } catch (...) {
-                return Error{"profile_crashed", "non-standard exception"};
-            }
-        };
-        core::RetryOutcome outcome;
-        auto result =
-            core::retry<HandshakeSample>(options_.retry, *clock_, attempt, &outcome);
-        shard.retries += outcome.retries;
+        auto result = fence.run<HandshakeSample>(
+            user, [&] { return synthesize_handshake(model, user); }, &shard.retries);
         if (!result.ok()) {
             // The ladder gave up (classify_failure: quarantine, not
             // abort) — the user index is consumed, the schedule moves
@@ -150,19 +106,14 @@ ScenarioReport ScenarioEngine::run() {
 
     const TrafficModel model = effective_model();
     const KeyTable keys(model);
-    DetectionMatrix matrix;
-    if (options_.use_service_matrix) {
-        auto built = build_matrix_via_service(model, *fs_, options_.service_dir);
-        if (!built.ok()) {
-            report.io = built.error();
-            return report;
-        }
-        matrix = std::move(built).value();
-        report.matrix_via_service = true;
-        report.degraded_queries = matrix.degraded_queries;
-    } else {
-        matrix = build_matrix(model);
-    }
+    const DetectionMatrix matrix = build_matrix(model);
+    // Seeded from the checkpoint, salted apart from the traffic stream.
+    const faultsim::HarnessFence fence({.seed = model.seed ^ 0xF1EE7CA5ULL,
+                                        .flake_rate = options_.flake_rate,
+                                        .poison_rate = options_.poison_rate,
+                                        .flake_failures = options_.flake_failures,
+                                        .retry = options_.retry},
+                                       *clock_);
 
     core::Executor executor(std::max<size_t>(options_.jobs, 1));
     const size_t shard_size = std::max<size_t>(options_.shard_size, 1);
@@ -188,8 +139,8 @@ ScenarioReport ScenarioEngine::run() {
         // Fan out, then merge in plan order: byte-identical state at
         // any job count.
         for (Shard& shard : shards) {
-            executor.submit([this, &shard, &model, &matrix, &keys] {
-                evaluate_shard(shard, model, matrix, keys);
+            executor.submit([this, &shard, &model, &matrix, &keys, &fence] {
+                evaluate_shard(shard, model, matrix, keys, fence);
             });
         }
         executor.wait_idle();

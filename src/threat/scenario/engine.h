@@ -10,18 +10,16 @@
 // ledger a resume needs.
 //
 // Robustness contract (the kill-point sweep asserts all of it):
-//   * state lands as checksummed `unicert-scenario-v1` generations
-//     through core::GenerationStore — SIGKILL at any filesystem op
-//     resumes from the newest valid generation to a byte-identical
-//     final state;
-//   * per-user profile evaluation runs under core::resilience retry
-//     with FaultPlan flake/poison channels — transient faults are
-//     absorbed, poisoned users are quarantined exactly once and
-//     reported separately (the Wilson intervals in stats.h widen for
-//     them rather than absorbing the loss);
-//   * a damaged monitor index only degrades cost: the service backend
-//     descends PR 7's fresh -> rebuilt -> linear-scan ladder and the
-//     tallies stay identical, with `degraded_queries` reported.
+//   * state lands as sealed `unicert-scenario-v1` generations through
+//     the engine's core::GenerationStore, the commit path the fuzzing
+//     campaign shares — SIGKILL at any filesystem op resumes from the
+//     newest valid generation to a byte-identical final state;
+//   * per-user profile evaluation runs through faultsim::HarnessFence
+//     (FaultPlan flake/poison channels under core::resilience retry,
+//     seeded from the checkpoint) — transient faults are absorbed,
+//     poisoned users are quarantined exactly once and reported
+//     separately (the Wilson intervals in stats.h widen for them rather
+//     than absorbing the loss).
 #pragma once
 
 #include <string>
@@ -31,6 +29,10 @@
 #include "threat/scenario/fleet.h"
 #include "threat/scenario/state.h"
 #include "threat/scenario/traffic.h"
+
+namespace unicert::faultsim {
+class HarnessFence;
+}
 
 namespace unicert::threat::scenario {
 
@@ -51,25 +53,6 @@ struct ScenarioOptions {
     int flake_failures = 2;   // transient failures before recovery
     core::RetryPolicy retry{.max_attempts = 4, .initial_backoff_ms = 1,
                             .max_backoff_ms = 8};
-
-    // Answer the monitor column through the durable store +
-    // QueryService in `service_dir` (under the engine's Fs) instead of
-    // in-memory monitors. Verdicts are identical either way (parity-
-    // tested); the service path additionally exercises the index
-    // degradation ladder.
-    bool use_service_matrix = false;
-    std::string service_dir = "scenario-monitor";
-};
-
-// What recover()/resume() found (mirrors the generation store's shape
-// with the payload parsed).
-struct RecoveredScenario {
-    ScenarioState state;
-    uint64_t generation = 0;
-    bool found = false;
-    size_t corrupt_skipped = 0;
-    size_t stray_temp_files = 0;
-    std::vector<std::string> notes;
 };
 
 struct ScenarioReport {
@@ -77,8 +60,6 @@ struct ScenarioReport {
     uint64_t retried = 0;          // transient faults absorbed by backoff
     uint64_t quarantined = 0;      // users dropped this run
     uint64_t checkpoints = 0;      // generations committed this run
-    size_t degraded_queries = 0;   // monitor ladder descents (service backend)
-    bool matrix_via_service = false;
     bool stopped_by_users = false;
     Status io;                     // first I/O failure, if any
 };
@@ -95,11 +76,12 @@ public:
     // crash at the first user still resumes.
     Status start_fresh();
 
-    // Continue from the newest valid generation. Error code
-    // scenario_no_checkpoint when the state directory holds none. The
-    // recovered seed/dose/CAA parameters override the options' traffic
-    // model — a resumed run must replay the original draws.
-    Expected<RecoveredScenario> resume();
+    // Continue from the newest valid generation; the recovered state is
+    // then state(). Read-only on disk. Error code scenario_no_checkpoint
+    // when the state directory holds none. The recovered seed/dose/CAA
+    // parameters override the options' traffic model — a resumed run
+    // must replay the original draws.
+    Expected<core::RecoveredGeneration> resume();
 
     // Consume users until the `users` bound; checkpoint per the options.
     ScenarioReport run();
@@ -110,11 +92,11 @@ public:
 private:
     struct Shard;
     void evaluate_shard(Shard& shard, const TrafficModel& model,
-                        const DetectionMatrix& matrix, const KeyTable& keys) const;
+                        const DetectionMatrix& matrix, const KeyTable& keys,
+                        const faultsim::HarnessFence& fence) const;
     TrafficModel effective_model() const;
 
     ScenarioOptions options_;
-    core::Fs* fs_;
     core::Clock* clock_;
     core::GenerationStore store_;
     ScenarioState state_;

@@ -1,12 +1,9 @@
 #include "threat/scenario/fleet.h"
 
-#include <algorithm>
 #include <cctype>
 
 #include "asn1/oid.h"
-#include "ctlog/index/query.h"
 #include "ctlog/monitor.h"
-#include "ctlog/store/store.h"
 #include "threat/browser.h"
 #include "threat/middlebox.h"
 #include "x509/general_name.h"
@@ -94,7 +91,7 @@ DetectionMatrix build_matrix(const TrafficModel& raw) {
     fill_non_monitor(model, matrix);
     const size_t T = kTechniqueCount;
 
-    // In-memory monitor column: each profile indexes the full forged
+    // Monitor column: each profile indexes the full forged
     // grid (the compromised CA dutifully logs everything — CT subverts
     // discoverability, not logging), then the owner queries their own
     // domain.
@@ -112,68 +109,6 @@ DetectionMatrix build_matrix(const TrafficModel& raw) {
             for (size_t t = 0; t < T; ++t) {
                 matrix.cells[v * T + t].monitor_concealed.push_back(
                     !monitor.would_find(model.victims[v], ids[v * T + t]));
-            }
-        }
-    }
-    return matrix;
-}
-
-Expected<DetectionMatrix> build_matrix_via_service(const TrafficModel& raw, core::Fs& fs,
-                                                   const std::string& dir) {
-    TrafficModel model = resolved(raw);
-    DetectionMatrix matrix;
-    fill_non_monitor(model, matrix);
-    matrix.via_service = true;
-    const size_t T = kTechniqueCount;
-
-    ctlog::store::StoreOptions store_options;
-    store_options.create_if_missing = true;
-    auto store = ctlog::store::Store::open(fs, dir, store_options);
-    if (!store.ok()) return store.error();
-
-    // Ingest the forged grid once; reopening an already-populated store
-    // (a damaged-index retry, say) skips the append.
-    const bool fresh_store = (*store)->size() == 0;
-    if (fresh_store) {
-        std::vector<ctlog::store::PendingEntry> batch;
-        batch.reserve(matrix.cells.size());
-        for (size_t v = 0; v < matrix.victims; ++v) {
-            for (size_t t = 0; t < T; ++t) {
-                ctlog::store::PendingEntry entry;
-                entry.leaf_der =
-                    craft_attack_cert(model.victims[v], kAllTechniques[t], /*sign=*/true).der;
-                entry.timestamp = static_cast<int64_t>(v * T + t);
-                batch.push_back(std::move(entry));
-            }
-        }
-        if (Status st = (*store)->append_batch(batch); !st.ok()) return st.error();
-    }
-
-    ctlog::index::QueryService service(fs, **store);
-    if (fresh_store) {
-        // First run: publish the initial index generation. On reopen
-        // the queries below load whatever is on disk instead — a
-        // damaged generation descends the ladder (rebuild or scan,
-        // counted in degraded_queries) with identical answers.
-        if (Status st = service.refresh(); !st.ok()) {
-            // A failed publish degrades cost, not answers: the
-            // in-memory snapshot still serves.
-            ++matrix.degraded_queries;
-        }
-    }
-
-    // Store entry ids are ascending append order: id == v * T + t.
-    std::span<const ctlog::MonitorProfile> profiles = ctlog::monitor_profiles();
-    for (const ctlog::MonitorProfile& profile : profiles) {
-        for (size_t v = 0; v < matrix.victims; ++v) {
-            ctlog::index::ServedQuery served = service.query(profile, model.victims[v]);
-            if (served.degraded) ++matrix.degraded_queries;
-            for (size_t t = 0; t < T; ++t) {
-                size_t id = v * T + t;
-                bool found = served.result.query_accepted &&
-                             std::binary_search(served.result.cert_ids.begin(),
-                                                served.result.cert_ids.end(), id);
-                matrix.cells[v * T + t].monitor_concealed.push_back(!found);
             }
         }
     }

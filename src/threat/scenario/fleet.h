@@ -9,23 +9,18 @@
 // increments, which is what makes population scale (millions of users)
 // tractable without materializing any traffic.
 //
-// Two monitor backends produce the concealment column and must agree
-// byte-for-byte (the parity tests pin this):
-//   * in-memory — a fresh ctlog::Monitor per profile, indexes the
-//     crafted certs directly;
-//   * service   — the forged certs are ingested into a durable
-//     ctlog::store::Store and queried through the self-healing
-//     index::QueryService, exercising PR 7's fresh -> rebuilt ->
-//     linear-scan degradation ladder; when the index files are damaged
-//     the answers are identical, only `degraded_queries` grows.
+// The monitor column comes from one in-memory ctlog::Monitor per
+// profile over the crafted grid. Monitor answers through the same
+// index::lookup as the durable index::QueryService, so its verdicts are
+// the service's (tests/threat_scenario_engine_test.cc checks this over
+// the grid; the ctlog parity and kill-point suites pin the service's
+// degradation ladder).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/expected.h"
-#include "core/fs.h"
 #include "threat/scenario/traffic.h"
 
 namespace unicert::threat::scenario {
@@ -51,29 +46,15 @@ struct DetectionMatrix {
     size_t techniques = 0;
     std::vector<TechniqueCell> cells;   // victim-major
     std::vector<bool> victim_caa;       // per-victim CAA adoption draw
-    // Service-backend bookkeeping (not part of the parity comparison —
-    // and never checkpointed: a damaged index changes cost, not state).
-    bool via_service = false;
-    size_t degraded_queries = 0;
 
     const TechniqueCell& cell(size_t victim, size_t technique) const {
         return cells[victim * techniques + technique];
     }
-    bool same_verdicts(const DetectionMatrix& other) const {
-        return victims == other.victims && techniques == other.techniques &&
-               cells == other.cells && victim_caa == other.victim_caa;
-    }
 };
 
-// Evaluate all fleets over the crafted-cert grid with in-memory
-// monitors. Pure function of the (resolved) model.
+// Evaluate all fleets over the crafted-cert grid. Pure function of the
+// (resolved) model.
 DetectionMatrix build_matrix(const TrafficModel& model);
-
-// Same verdicts, but the monitor column is answered through the durable
-// store + QueryService in `dir` under `fs` (created there when absent).
-// Damage the files between calls to exercise the degradation ladder.
-Expected<DetectionMatrix> build_matrix_via_service(const TrafficModel& model, core::Fs& fs,
-                                                   const std::string& dir);
 
 // The fixed tally vocabulary: every counter the engine can emit, with
 // stable string names (used in checkpoints, reports and goldens) and

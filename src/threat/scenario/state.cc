@@ -1,106 +1,48 @@
 #include "threat/scenario/state.h"
 
-#include <charconv>
-#include <sstream>
-
-#include "common/bytes.h"
-#include "crypto/sha256.h"
+#include "core/sealed_state.h"
 
 namespace unicert::threat::scenario {
-namespace {
-
-constexpr std::string_view kChecksumKey = "checksum: ";
-
-bool parse_u64_field(std::string_view text, uint64_t* out) {
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-    return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-}  // namespace
 
 std::string serialize_state(const ScenarioState& state) {
-    std::ostringstream out;
-    out << kScenarioMagic << "\n";
-    out << "seed: " << state.seed << "\n";
-    out << "dose_ppm: " << state.dose_ppm << "\n";
-    out << "caa_ppm: " << state.caa_ppm << "\n";
-    out << "next_user: " << state.next_user << "\n";
-    out << "shards_done: " << state.shards_done << "\n";
-    out << "evaluated: " << state.evaluated << "\n";
-    out << "quarantined: " << state.quarantined << "\n";
+    core::SealedStateWriter out(kScenarioMagic);
+    out.field("seed", state.seed);
+    out.field("dose_ppm", state.dose_ppm);
+    out.field("caa_ppm", state.caa_ppm);
+    out.field("next_user", state.next_user);
+    out.field("shards_done", state.shards_done);
+    out.field("evaluated", state.evaluated);
+    out.field("quarantined", state.quarantined);
     for (const auto& [name, count] : state.tallies) {
-        out << "tally: " << name << " " << count << "\n";
+        out.field("tally", name + " " + std::to_string(count));
     }
-    std::string body = out.str();
-    crypto::Digest digest = crypto::sha256(
-        BytesView(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
-    body += std::string(kChecksumKey) + hex_encode(digest) + "\n";
-    return body;
+    return std::move(out).seal();
 }
 
 Expected<ScenarioState> parse_state(std::string_view text) {
-    // Magic first, so a wrong-format file reads as such rather than as
-    // a torn checkpoint.
-    if (!text.starts_with(kScenarioMagic) ||
-        (text.size() > kScenarioMagic.size() && text[kScenarioMagic.size()] != '\n')) {
-        return Error{"scenario_bad_magic", "not a unicert-scenario-v1 checkpoint"};
-    }
-    // The checksum line must be the last line and must cover everything
-    // before it — a file cut anywhere (even mid-checksum) fails here.
-    size_t trailer = text.rfind(kChecksumKey);
-    if (trailer == std::string_view::npos || trailer + kChecksumKey.size() + 65 != text.size() ||
-        text.back() != '\n') {
-        return Error{"scenario_truncated", "checkpoint has no complete checksum trailer"};
-    }
-    std::string_view body = text.substr(0, trailer);
-    std::string_view stored = text.substr(trailer + kChecksumKey.size(), 64);
-    crypto::Digest digest = crypto::sha256(
-        BytesView(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
-    if (hex_encode(digest) != stored) {
-        return Error{"scenario_checksum", "checkpoint checksum mismatch"};
-    }
-
-    std::istringstream in{std::string(body)};
-    std::string line;
-    if (!std::getline(in, line) || line != kScenarioMagic) {
-        return Error{"scenario_bad_magic", "not a unicert-scenario-v1 checkpoint"};
-    }
     ScenarioState state;
-    while (std::getline(in, line)) {
-        size_t colon = line.find(": ");
-        if (colon == std::string::npos) {
-            return Error{"scenario_bad_field", "malformed line: " + line};
-        }
-        std::string_view key(line.data(), colon);
-        std::string_view value(line.data() + colon + 2, line.size() - colon - 2);
-        bool ok = true;
-        if (key == "seed") {
-            ok = parse_u64_field(value, &state.seed);
-        } else if (key == "dose_ppm") {
-            ok = parse_u64_field(value, &state.dose_ppm);
-        } else if (key == "caa_ppm") {
-            ok = parse_u64_field(value, &state.caa_ppm);
-        } else if (key == "next_user") {
-            ok = parse_u64_field(value, &state.next_user);
-        } else if (key == "shards_done") {
-            ok = parse_u64_field(value, &state.shards_done);
-        } else if (key == "evaluated") {
-            ok = parse_u64_field(value, &state.evaluated);
-        } else if (key == "quarantined") {
-            ok = parse_u64_field(value, &state.quarantined);
-        } else if (key == "tally") {
-            size_t space = value.rfind(' ');
-            uint64_t count = 0;
-            ok = space != std::string_view::npos && space > 0 &&
-                 parse_u64_field(value.substr(space + 1), &count);
-            if (ok) state.tallies[std::string(value.substr(0, space))] = count;
-        }
-        // Unknown keys are ignored for forward compatibility; the
-        // checksum already vouches for their integrity.
-        if (!ok) {
-            return Error{"scenario_bad_field", "malformed line: " + line};
-        }
-    }
+    Status parsed = core::unseal_state(
+        text, kScenarioMagic, "scenario", [&state](std::string_view key, std::string_view value) {
+            using core::parse_u64;
+            if (key == "seed") return parse_u64(value, &state.seed);
+            if (key == "dose_ppm") return parse_u64(value, &state.dose_ppm);
+            if (key == "caa_ppm") return parse_u64(value, &state.caa_ppm);
+            if (key == "next_user") return parse_u64(value, &state.next_user);
+            if (key == "shards_done") return parse_u64(value, &state.shards_done);
+            if (key == "evaluated") return parse_u64(value, &state.evaluated);
+            if (key == "quarantined") return parse_u64(value, &state.quarantined);
+            if (key == "tally") {
+                size_t space = value.rfind(' ');
+                uint64_t count = 0;
+                if (space == std::string_view::npos || space == 0 ||
+                    !parse_u64(value.substr(space + 1), &count)) {
+                    return false;
+                }
+                state.tallies[std::string(value.substr(0, space))] = count;
+            }
+            return true;  // unknown keys: forward compatibility
+        });
+    if (!parsed.ok()) return parsed.error();
     return state;
 }
 

@@ -10,10 +10,10 @@
 // byte-for-byte deterministic — the property the resume-parity sweep
 // compares.
 //
-// Serialization is line-oriented text with a trailing SHA-256 line
-// covering every preceding byte, so a torn tail or a flipped bit is
-// always detected (parse fails, recovery falls back to the previous
-// committed generation).
+// Serialization is the core/sealed_state.h codec: line-oriented text
+// with a trailing SHA-256 line covering every preceding byte, so a torn
+// tail or a flipped bit is always detected (parse fails, recovery falls
+// back to the previous committed generation).
 #pragma once
 
 #include <cstdint>

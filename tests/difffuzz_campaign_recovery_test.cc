@@ -59,13 +59,12 @@ struct WorkloadResult {
 WorkloadResult run_workload(faultsim::FaultyFs& fs, const CampaignOptions& options) {
     WorkloadResult result;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
-    Campaign campaign(options, corpus, store);
+    Campaign campaign(options, corpus, fs, "camp");
     if (campaign.start_fresh().ok()) {
         CampaignReport report = campaign.run();
         result.completed = report.io.ok();
     }
-    result.acked = store.last_committed();
+    result.acked = campaign.store().last_committed();
     result.ops = fs.ops();
     return result;
 }
@@ -75,14 +74,13 @@ void check_recovery(core::MemFs& inner, const CampaignOptions& options,
                     const std::map<std::string, Bytes>& reference_corpus,
                     const std::string& label) {
     CrashCorpus corpus("camp/corpus", &inner);
-    CheckpointStore store(inner, "camp");
-    Campaign campaign(options, corpus, store);
+    Campaign campaign(options, corpus, inner, "camp");
 
-    auto recovered = store.recover();
-    ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.error().message;
-    if (!recovered->found) {
+    auto recovered = campaign.resume();
+    if (!recovered.ok()) {
         // Nothing on disk is only legal when nothing was ever
         // acknowledged — the crash predates the start_fresh() commit.
+        ASSERT_EQ(recovered.error().code, "campaign_no_checkpoint") << label;
         ASSERT_FALSE(before.acked.has_value()) << label << ": committed generation lost";
         ASSERT_TRUE(campaign.start_fresh().ok()) << label;
     } else {
@@ -90,8 +88,6 @@ void check_recovery(core::MemFs& inner, const CampaignOptions& options,
         if (before.acked.has_value()) {
             EXPECT_GE(recovered->generation, *before.acked) << label;
         }
-        auto resumed = campaign.resume();
-        ASSERT_TRUE(resumed.ok()) << label << ": " << resumed.error().message;
         LoadReport load;
         ASSERT_TRUE(corpus.load(&load).ok()) << label;
         // atomic_write_file syncs before rename, so a torn tail can
@@ -115,18 +111,17 @@ void sweep(uint64_t seed, size_t jobs) {
     core::MemFs reference_fs;
     {
         CrashCorpus corpus("camp/corpus", &reference_fs);
-        CheckpointStore store(reference_fs, "camp");
-        Campaign campaign(options, corpus, store);
+        Campaign campaign(options, corpus, reference_fs, "camp");
         ASSERT_TRUE(campaign.start_fresh().ok());
         CampaignReport report = campaign.run();
         ASSERT_TRUE(report.io.ok());
     }
     std::string reference_state;
     {
-        CheckpointStore store(reference_fs, "camp");
-        auto recovered = store.recover();
-        ASSERT_TRUE(recovered.ok() && recovered->found);
-        reference_state = serialize_state(recovered->state);
+        CrashCorpus corpus("camp/corpus", &reference_fs);
+        Campaign campaign(options, corpus, reference_fs, "camp");
+        ASSERT_TRUE(campaign.resume().ok());
+        reference_state = serialize_state(campaign.state());
     }
     const std::map<std::string, Bytes> reference_corpus = corpus_files(reference_fs);
     ASSERT_FALSE(reference_corpus.empty());

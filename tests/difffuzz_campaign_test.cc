@@ -1,8 +1,9 @@
 // Tests for the feedback-guided campaign engine: state serialization
-// self-checking, checkpoint commit/prune/recover, job-count parity,
-// checkpoint-boundary resume parity (the property test: kill at every
-// boundary, resume, and the final buckets and corpus are identical to
-// an uninterrupted run), stop conditions, and worker supervision.
+// self-checking, job-count parity, checkpoint-boundary resume parity
+// (the property test: kill at every boundary, resume, and the final
+// buckets and corpus are identical to an uninterrupted run), stop
+// conditions, and worker supervision. The generation store it commits
+// through is tested in core_generation_store_test.cc.
 #include "difffuzz/campaign/campaign.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "difffuzz/campaign/checkpoint.h"
 #include "difffuzz/campaign/state.h"
 
 namespace unicert::difffuzz::campaign {
@@ -73,102 +73,6 @@ TEST(CampaignState, RejectsWrongMagic) {
     EXPECT_EQ(parsed.error().code, "campaign_bad_magic");
 }
 
-// ---- checkpoint store -----------------------------------------------------
-
-TEST(CheckpointStore, CommitRecoverRoundTrip) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp");
-    ASSERT_TRUE(store.init().ok());
-    CampaignState s = sample_state();
-    ASSERT_TRUE(store.commit(s, 4).ok());
-    EXPECT_EQ(store.last_committed(), std::optional<uint64_t>(4));
-
-    CheckpointStore reopened(fs, "camp");
-    auto recovered = reopened.recover();
-    ASSERT_TRUE(recovered.ok());
-    ASSERT_TRUE(recovered->found);
-    EXPECT_EQ(recovered->generation, 4u);
-    EXPECT_EQ(recovered->state, s);
-}
-
-TEST(CheckpointStore, EmptyDirectoryIsAFreshCampaignNotAnError) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp");
-    auto recovered = store.recover();
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_FALSE(recovered->found);
-}
-
-TEST(CheckpointStore, PrunesToNewestKeep) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp", /*keep=*/3);
-    ASSERT_TRUE(store.init().ok());
-    CampaignState s = sample_state();
-    for (uint64_t gen = 1; gen <= 6; ++gen) {
-        s.batches_done = gen;
-        ASSERT_TRUE(store.commit(s, gen).ok());
-    }
-    auto names = fs.list_dir("camp");
-    ASSERT_TRUE(names.ok());
-    std::vector<uint64_t> generations;
-    for (const std::string& name : *names) {
-        if (auto gen = CheckpointStore::parse_checkpoint_file_name(name)) {
-            generations.push_back(*gen);
-        }
-    }
-    EXPECT_EQ(generations, (std::vector<uint64_t>{4, 5, 6}));
-}
-
-TEST(CheckpointStore, FallsBackPastACorruptNewestGeneration) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp", /*keep=*/3);
-    ASSERT_TRUE(store.init().ok());
-    CampaignState s = sample_state();
-    s.batches_done = 2;
-    ASSERT_TRUE(store.commit(s, 2).ok());
-    CampaignState newer = s;
-    newer.batches_done = 4;
-    ASSERT_TRUE(store.commit(newer, 4).ok());
-    ASSERT_TRUE(fs.flip_bit("camp/" + CheckpointStore::checkpoint_file_name(4), 40, 3));
-
-    CheckpointStore reopened(fs, "camp");
-    auto recovered = reopened.recover();
-    ASSERT_TRUE(recovered.ok());
-    ASSERT_TRUE(recovered->found);
-    EXPECT_EQ(recovered->generation, 2u);
-    EXPECT_EQ(recovered->state, s);
-    EXPECT_EQ(recovered->corrupt_skipped, 1u);
-}
-
-TEST(CheckpointStore, AllGenerationsCorruptIsUnrecoverable) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp");
-    ASSERT_TRUE(store.init().ok());
-    ASSERT_TRUE(store.commit(sample_state(), 1).ok());
-    ASSERT_TRUE(fs.flip_bit("camp/" + CheckpointStore::checkpoint_file_name(1), 30, 1));
-    CheckpointStore reopened(fs, "camp");
-    auto recovered = reopened.recover();
-    ASSERT_FALSE(recovered.ok());
-    EXPECT_EQ(recovered.error().code, "campaign_unrecoverable");
-}
-
-TEST(CheckpointStore, RecoveryRemovesStrayTempFiles) {
-    core::MemFs fs;
-    CheckpointStore store(fs, "camp");
-    ASSERT_TRUE(store.init().ok());
-    ASSERT_TRUE(store.commit(sample_state(), 1).ok());
-    std::string stray = "camp/" + CheckpointStore::checkpoint_file_name(2) + ".tmp";
-    ASSERT_TRUE(core::atomic_write_file(fs, stray, std::string_view("partial")).ok());
-
-    CheckpointStore reopened(fs, "camp");
-    auto recovered = reopened.recover();
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_EQ(recovered->stray_temp_files, 1u);
-    auto exists = fs.exists(stray);
-    ASSERT_TRUE(exists.ok());
-    EXPECT_FALSE(*exists);
-}
-
 // ---- campaign runs --------------------------------------------------------
 
 CampaignOptions small_options(uint64_t seed, size_t jobs, uint64_t max_evals) {
@@ -186,8 +90,7 @@ CampaignOptions small_options(uint64_t seed, size_t jobs, uint64_t max_evals) {
 std::string run_to_completion(const CampaignOptions& options, core::MemFs& fs,
                               CampaignState* out_state = nullptr) {
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
-    Campaign campaign(options, corpus, store);
+    Campaign campaign(options, corpus, fs, "camp");
     EXPECT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     EXPECT_TRUE(report.io.ok()) << report.io.error().message;
@@ -242,14 +145,13 @@ TEST(Campaign, ResumeFromEveryCheckpointBoundaryMatchesUninterruptedRun) {
             for (uint64_t boundary = 0; boundary < kTotal; boundary += 16) {
                 core::MemFs fs;
                 CrashCorpus corpus("camp/corpus", &fs);
-                CheckpointStore store(fs, "camp");
                 CampaignOptions first = small_options(seed, jobs, kTotal);
                 first.max_evals = boundary;
                 if (boundary == 0) {
-                    Campaign campaign(first, corpus, store);
+                    Campaign campaign(first, corpus, fs, "camp");
                     ASSERT_TRUE(campaign.start_fresh().ok());
                 } else {
-                    Campaign campaign(first, corpus, store);
+                    Campaign campaign(first, corpus, fs, "camp");
                     ASSERT_TRUE(campaign.start_fresh().ok());
                     CampaignReport report = campaign.run();
                     ASSERT_TRUE(report.io.ok());
@@ -257,8 +159,7 @@ TEST(Campaign, ResumeFromEveryCheckpointBoundaryMatchesUninterruptedRun) {
 
                 // "Reboot": fresh objects, recover from disk, finish.
                 CrashCorpus corpus2("camp/corpus", &fs);
-                CheckpointStore store2(fs, "camp");
-                Campaign resumed(small_options(seed, jobs, kTotal), corpus2, store2);
+                Campaign resumed(small_options(seed, jobs, kTotal), corpus2, fs, "camp");
                 auto recovered = resumed.resume();
                 ASSERT_TRUE(recovered.ok()) << recovered.error().message;
                 ASSERT_TRUE(corpus2.load().ok());
@@ -274,9 +175,8 @@ TEST(Campaign, ResumeFromEveryCheckpointBoundaryMatchesUninterruptedRun) {
 TEST(Campaign, RefusesToRunWithoutAStopCondition) {
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
     CampaignOptions options = small_options(1, 1, /*max_evals=*/0);
-    Campaign campaign(options, corpus, store);
+    Campaign campaign(options, corpus, fs, "camp");
     ASSERT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     ASSERT_FALSE(report.io.ok());
@@ -286,8 +186,7 @@ TEST(Campaign, RefusesToRunWithoutAStopCondition) {
 TEST(Campaign, ResumeWithoutACheckpointIsAnError) {
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
-    Campaign campaign(small_options(1, 1, 8), corpus, store);
+    Campaign campaign(small_options(1, 1, 8), corpus, fs, "camp");
     auto recovered = campaign.resume();
     ASSERT_FALSE(recovered.ok());
     EXPECT_EQ(recovered.error().code, "campaign_no_checkpoint");
@@ -296,9 +195,8 @@ TEST(Campaign, ResumeWithoutACheckpointIsAnError) {
 TEST(Campaign, MaxEvalsStopsAtTheExactCumulativeCount) {
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
     CampaignOptions options = small_options(5, 1, /*max_evals=*/21);  // not a batch multiple
-    Campaign campaign(options, corpus, store);
+    Campaign campaign(options, corpus, fs, "camp");
     ASSERT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     ASSERT_TRUE(report.io.ok());
@@ -326,11 +224,10 @@ private:
 TEST(Campaign, MaxWallMsStopsTheRun) {
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
     CampaignOptions options = small_options(5, 1, /*max_evals=*/0);
     options.max_wall_ms = 50;
     TickingClock clock(10);  // every loop-condition read costs 10 "ms"
-    Campaign campaign(options, corpus, store, tlslib::builtin_model(), clock);
+    Campaign campaign(options, corpus, fs, "camp", tlslib::builtin_model(), clock);
     ASSERT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     ASSERT_TRUE(report.io.ok());
@@ -340,7 +237,8 @@ TEST(Campaign, MaxWallMsStopsTheRun) {
     EXPECT_GT(report.inputs, 0u);
     EXPECT_LE(campaign.state().batches_done, 10u);
     // The stop still committed a final generation.
-    EXPECT_EQ(store.last_committed(), std::optional<uint64_t>(campaign.state().batches_done));
+    EXPECT_EQ(campaign.store().last_committed(),
+              std::optional<uint64_t>(campaign.state().batches_done));
 }
 
 // ---- worker supervision ---------------------------------------------------
@@ -351,12 +249,11 @@ TEST(Campaign, TransientWorkerFlakesAreRetriedTransparently) {
 
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
     CampaignOptions options = small_options(13, 2, 48);
     options.flake_rate = 0.2;   // transient failures, below the retry budget
     options.flake_failures = 2;
     core::ManualClock clock;
-    Campaign campaign(options, corpus, store, tlslib::builtin_model(), clock);
+    Campaign campaign(options, corpus, fs, "camp", tlslib::builtin_model(), clock);
     ASSERT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     ASSERT_TRUE(report.io.ok());
@@ -370,11 +267,10 @@ TEST(Campaign, TransientWorkerFlakesAreRetriedTransparently) {
 TEST(Campaign, PoisonedEvaluationsAreQuarantinedNotFatal) {
     core::MemFs fs;
     CrashCorpus corpus("camp/corpus", &fs);
-    CheckpointStore store(fs, "camp");
     CampaignOptions options = small_options(17, 2, 48);
     options.poison_rate = 0.15;  // permanent failures; the ladder gives up
     core::ManualClock clock;
-    Campaign campaign(options, corpus, store, tlslib::builtin_model(), clock);
+    Campaign campaign(options, corpus, fs, "camp", tlslib::builtin_model(), clock);
     ASSERT_TRUE(campaign.start_fresh().ok());
     CampaignReport report = campaign.run();
     ASSERT_TRUE(report.io.ok()) << report.io.error().message;
@@ -386,13 +282,55 @@ TEST(Campaign, PoisonedEvaluationsAreQuarantinedNotFatal) {
     // Quarantine is deterministic too: a rerun quarantines identically.
     core::MemFs fs2;
     CrashCorpus corpus2("camp/corpus", &fs2);
-    CheckpointStore store2(fs2, "camp");
     core::ManualClock clock2;
-    Campaign again(options, corpus2, store2, tlslib::builtin_model(), clock2);
+    Campaign again(options, corpus2, fs2, "camp", tlslib::builtin_model(), clock2);
     ASSERT_TRUE(again.start_fresh().ok());
     CampaignReport report2 = again.run();
     ASSERT_TRUE(report2.io.ok());
     EXPECT_EQ(serialize_state(again.state()), serialize_state(campaign.state()));
+}
+
+// Resume adopts the checkpoint's seed for every decision, the harness
+// fault schedule included: a resumed run whose options carry another
+// seed still retries and quarantines exactly what the uninterrupted run
+// did (the counterpart of ScenarioEngine.ResumeOverridesTrafficParameters).
+TEST(Campaign, ResumeKeysHarnessFaultsByTheCheckpointSeed) {
+    CampaignOptions options = small_options(/*seed=*/7, /*jobs=*/1, /*max_evals=*/64);
+    options.flake_rate = 0.3;
+    options.poison_rate = 0.2;
+
+    std::string reference;
+    {
+        core::MemFs fs;
+        CrashCorpus corpus("camp/corpus", &fs);
+        core::ManualClock clock;
+        Campaign campaign(options, corpus, fs, "camp", tlslib::builtin_model(), clock);
+        ASSERT_TRUE(campaign.start_fresh().ok());
+        ASSERT_TRUE(campaign.run().io.ok());
+        reference = serialize_state(campaign.state());
+    }
+
+    core::MemFs fs;
+    {
+        CampaignOptions cut = options;
+        cut.max_evals = 16;
+        CrashCorpus corpus("camp/corpus", &fs);
+        core::ManualClock clock;
+        Campaign campaign(cut, corpus, fs, "camp", tlslib::builtin_model(), clock);
+        ASSERT_TRUE(campaign.start_fresh().ok());
+        ASSERT_TRUE(campaign.run().io.ok());
+    }
+    CampaignOptions drifted = options;
+    drifted.seed = 1;  // wrong on purpose
+    CrashCorpus corpus("camp/corpus", &fs);
+    core::ManualClock clock;
+    Campaign resumed(drifted, corpus, fs, "camp", tlslib::builtin_model(), clock);
+    auto recovered = resumed.resume();
+    ASSERT_TRUE(recovered.ok()) << recovered.error().message;
+    ASSERT_TRUE(corpus.load().ok());
+    ASSERT_TRUE(resumed.run().io.ok());
+    EXPECT_GT(resumed.state().quarantined, 0u);
+    EXPECT_EQ(serialize_state(resumed.state()), reference);
 }
 
 TEST(Campaign, DescribeStateMentionsTheHeadlineCounters) {

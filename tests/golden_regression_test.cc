@@ -3,7 +3,9 @@
 // over the reference corpus (seed 42, scale 1000 — the same corpus the
 // benchmarks use). Any change to corpus generation, the lint registry,
 // aggregation or JSON emission shows up here as a readable diff instead
-// of a silent drift.
+// of a silent drift. The two checkpoint formats (`unicert-campaign-v1`,
+// `unicert-scenario-v1`) are pinned the same way, byte for byte, so an
+// old state directory keeps resuming.
 //
 // When a change is intentional, refresh the files with either of
 //   ./tests/golden_regression_test --update-golden
@@ -22,7 +24,9 @@
 #include "core/pipeline.h"
 #include "ctlog/corpus.h"
 #include "ctlog/monitor.h"
+#include "difffuzz/campaign/state.h"
 #include "threat/scenario/fleet.h"
+#include "threat/scenario/state.h"
 
 namespace unicert {
 namespace {
@@ -138,6 +142,47 @@ TEST_F(GoldenRegression, Table6ScenarioDetection) {
     std::string text = out.str();
     text.pop_back();  // expect_golden appends the trailing newline
     expect_golden("table6_scenario.txt", text);
+}
+
+// The checkpoint formats, each written by serialize_state of a fixed
+// state. The golden file is the checkpoint file's exact bytes.
+void expect_state_golden(const std::string& name, std::string text) {
+    text.pop_back();  // expect_golden appends the trailing newline
+    expect_golden(name, text);
+}
+
+TEST(GoldenStateFormat, CampaignCheckpoint) {
+    difffuzz::campaign::CampaignState state;
+    state.seed = 42;
+    state.next_salt = 96;
+    state.batches_done = 6;
+    state.evals = 850;
+    state.failures = 17;
+    state.quarantined = 2;
+    state.corpus = {{0, 16, 3, 40, {0x30, 0x03, 0x0C, 0x01, 'x'}},
+                    {7, 128, 1, 4, {0x1E, 0x02, 0x00, 't'}},
+                    {9, 1, 0, 12, {}}};
+    state.buckets = {"golang_crypto.crash.0011223344556677",
+                     "forge.divergence.8899aabbccddeeff"};
+    expect_state_golden("campaign_state.txt", difffuzz::campaign::serialize_state(state));
+}
+
+TEST(GoldenStateFormat, ScenarioCheckpoint) {
+    threat::scenario::ScenarioState state;
+    state.seed = 7;
+    state.dose_ppm = 10000;
+    state.caa_ppm = 55000;
+    state.next_user = 4096;
+    state.shards_done = 32;
+    state.evaluated = 4090;
+    state.quarantined = 6;
+    state.tallies = {{"users_benign", 4049},
+                     {"users_adversarial", 41},
+                     {"technique_homograph", 5},
+                     {"monitor_crt_sh_concealed", 30},
+                     {"caa_flagged", 2},
+                     {"detected_any", 12}};
+    expect_state_golden("scenario_state.txt", threat::scenario::serialize_state(state));
 }
 
 }  // namespace

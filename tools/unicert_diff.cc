@@ -434,6 +434,20 @@ difffuzz::campaign::CampaignOptions campaign_options(const Options& o) {
     return co;
 }
 
+// The newest valid checkpoint in --state (its state into `*state` when
+// non-null), read through a campaign whose corpus lives in memory: the
+// probe creates no directory, and recovery is read-only, so it is safe
+// while another process commits to the same directory.
+Expected<core::RecoveredGeneration> read_checkpoint(const Options& o,
+                                                    difffuzz::campaign::CampaignState* state) {
+    difffuzz::CrashCorpus corpus;
+    difffuzz::campaign::Campaign campaign(campaign_options(o), corpus, core::real_fs(),
+                                          o.state_dir);
+    auto recovered = campaign.resume();
+    if (recovered.ok() && state != nullptr) *state = campaign.state();
+    return recovered;
+}
+
 int run_campaign_loop(Options o, bool fresh) {
     if (o.state_dir.empty()) {
         std::fprintf(stderr, "unicert_diff: %s requires --state DIR\n",
@@ -448,14 +462,9 @@ int run_campaign_loop(Options o, bool fresh) {
     }
     if (o.corpus_dir.empty()) o.corpus_dir = o.state_dir + "/corpus";
 
-    difffuzz::campaign::CheckpointStore store(core::real_fs(), o.state_dir);
     if (fresh) {
-        auto probe = store.recover();
-        if (!probe.ok()) {
-            std::fprintf(stderr, "unicert_diff: %s\n", probe.error().message.c_str());
-            return 66;
-        }
-        if (probe->found) {
+        auto probe = read_checkpoint(o, nullptr);
+        if (probe.ok()) {
             std::fprintf(stderr,
                          "unicert_diff: %s already holds a campaign (gen %llu); use "
                          "--resume to continue it or point --state elsewhere\n",
@@ -463,10 +472,15 @@ int run_campaign_loop(Options o, bool fresh) {
                          static_cast<unsigned long long>(probe->generation));
             return 65;
         }
+        if (probe.error().code != "campaign_no_checkpoint") {
+            std::fprintf(stderr, "unicert_diff: %s\n", probe.error().message.c_str());
+            return 66;
+        }
     }
 
     difffuzz::CrashCorpus corpus(o.corpus_dir);
-    difffuzz::campaign::Campaign campaign(campaign_options(o), corpus, store);
+    difffuzz::campaign::Campaign campaign(campaign_options(o), corpus, core::real_fs(),
+                                          o.state_dir);
 
     if (fresh) {
         if (Status st = campaign.start_fresh(); !st.ok()) {
@@ -528,23 +542,17 @@ int run_status(const Options& o) {
         std::fprintf(stderr, "unicert_diff: --status requires --state DIR\n");
         return 64;
     }
-    difffuzz::campaign::CheckpointStore store(core::real_fs(), o.state_dir);
-    auto recovered = store.recover();
+    difffuzz::campaign::CampaignState state;
+    auto recovered = read_checkpoint(o, &state);
     if (!recovered.ok()) {
         std::fprintf(stderr, "unicert_diff: %s\n", recovered.error().message.c_str());
-        return 66;
-    }
-    if (!recovered->found) {
-        std::fprintf(stderr, "unicert_diff: no campaign checkpoint in %s\n",
-                     o.state_dir.c_str());
         return 66;
     }
     for (const std::string& note : recovered->notes) {
         std::fprintf(stderr, "unicert_diff: recovery: %s\n", note.c_str());
     }
     std::printf("status: %s\n",
-                difffuzz::campaign::describe_state(recovered->state, recovered->generation)
-                    .c_str());
+                difffuzz::campaign::describe_state(state, recovered->generation).c_str());
     return 0;
 }
 

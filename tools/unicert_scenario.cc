@@ -53,9 +53,6 @@ options:
   --checkpoint-every N  shards per committed generation (default 8)
   --flake-rate R        injected transient profile-fault rate [0,1]
   --poison-rate R       injected permanent profile-fault rate [0,1]
-  --service-matrix      answer monitor queries through the durable store +
-                        index service in <state>/monitor (exercises the
-                        degradation ladder) instead of in-memory monitors
   --json                emit the rate table as JSON on stdout
   --help                this text
 
@@ -66,7 +63,7 @@ exit codes:
   65  --run refused: --state DIR already holds a scenario (use --resume
       to continue it)
   66  state directory unreadable or no valid checkpoint to resume
-  74  I/O error committing a checkpoint or building the monitor store
+  74  I/O error committing a checkpoint
 )";
 
 struct Options {
@@ -82,7 +79,6 @@ struct Options {
     uint64_t checkpoint_every = 8;
     double flake_rate = 0.0;
     double poison_rate = 0.0;
-    bool service_matrix = false;
     bool json = false;
 };
 
@@ -151,8 +147,6 @@ int parse_args(int argc, char** argv, Options* opts) {
             if (!need_rate(&opts->flake_rate)) return 64;
         } else if (arg == "--poison-rate") {
             if (!need_rate(&opts->poison_rate)) return 64;
-        } else if (arg == "--service-matrix") {
-            opts->service_matrix = true;
         } else if (arg == "--json") {
             opts->json = true;
         } else {
@@ -175,8 +169,6 @@ scenario::ScenarioOptions engine_options(const Options& o) {
     so.checkpoint_every = o.checkpoint_every;
     so.flake_rate = o.flake_rate;
     so.poison_rate = o.poison_rate;
-    so.use_service_matrix = o.service_matrix;
-    so.service_dir = o.state_dir + "/monitor";
     return so;
 }
 
@@ -257,23 +249,21 @@ int run_scenario(const Options& o, bool fresh) {
     core::ManualClock clock;  // injected-fault backoff burns simulated time only
     scenario::ScenarioEngine engine(engine_options(o), core::real_fs(), o.state_dir, clock);
 
+    // Recovery is read-only, so probing before a fresh run is safe even
+    // while another process is committing to the same directory.
+    auto recovered = engine.resume();
     if (fresh) {
-        auto probe = engine.store().recover([](std::string_view payload) -> Status {
-            auto state = scenario::parse_state(payload);
-            if (!state.ok()) return state.error();
-            return Status::success();
-        });
-        if (!probe.ok()) {
-            std::fprintf(stderr, "unicert_scenario: %s\n", probe.error().message.c_str());
-            return 66;
-        }
-        if (probe->found) {
+        if (recovered.ok()) {
             std::fprintf(stderr,
                          "unicert_scenario: %s already holds a scenario (gen %llu); use "
                          "--resume to continue it or point --state elsewhere\n",
                          o.state_dir.c_str(),
-                         static_cast<unsigned long long>(probe->generation));
+                         static_cast<unsigned long long>(recovered->generation));
             return 65;
+        }
+        if (recovered.error().code != "scenario_no_checkpoint") {
+            std::fprintf(stderr, "unicert_scenario: %s\n", recovered.error().message.c_str());
+            return 66;
         }
         if (Status st = engine.start_fresh(); !st.ok()) {
             std::fprintf(stderr, "unicert_scenario: cannot start: %s\n",
@@ -283,7 +273,6 @@ int run_scenario(const Options& o, bool fresh) {
         std::printf("scenario: started in %s (seed=%llu dose=%.4f)\n", o.state_dir.c_str(),
                     static_cast<unsigned long long>(o.seed), o.dose);
     } else {
-        auto recovered = engine.resume();
         if (!recovered.ok()) {
             std::fprintf(stderr, "unicert_scenario: cannot resume: %s\n",
                          recovered.error().message.c_str());
@@ -304,13 +293,11 @@ int run_scenario(const Options& o, bool fresh) {
     }
     std::printf("scenario: %s\n",
                 scenario::describe_state(engine.state(), engine.state().shards_done).c_str());
-    std::printf("run: users=%llu retried=%llu quarantined=%llu checkpoints=%llu "
-                "degraded_queries=%zu matrix=%s\n",
+    std::printf("run: users=%llu retried=%llu quarantined=%llu checkpoints=%llu\n",
                 static_cast<unsigned long long>(report.users_processed),
                 static_cast<unsigned long long>(report.retried),
                 static_cast<unsigned long long>(report.quarantined),
-                static_cast<unsigned long long>(report.checkpoints),
-                report.degraded_queries, report.matrix_via_service ? "service" : "in-memory");
+                static_cast<unsigned long long>(report.checkpoints));
     print_report(engine.state(), o.json);
     return 0;
 }
@@ -331,7 +318,7 @@ int run_status(const Options& o) {
         std::fprintf(stderr, "unicert_scenario: recovery: %s\n", note.c_str());
     }
     std::printf("status: %s\n",
-                scenario::describe_state(recovered->state, recovered->generation).c_str());
+                scenario::describe_state(engine.state(), recovered->generation).c_str());
     return 0;
 }
 
