@@ -2,10 +2,9 @@
 // plus the Figure 7/8 warning-page spoof demonstrations.
 #include "bench_common.h"
 
-#include "asn1/time.h"
 #include "threat/browser.h"
+#include "threat/forgery.h"
 #include "threat/scenarios.h"
-#include "x509/builder.h"
 
 using namespace unicert;
 
@@ -37,15 +36,8 @@ int main() {
 
     // Figure 7: the bidi-override warning page spoof.
     std::printf("\nFigure 7 reproduction (Chromium warning page):\n");
-    x509::Certificate cert;
-    cert.version = 2;
-    cert.serial = {0x01};
-    cert.subject = x509::make_dn({
-        x509::make_attribute(asn1::oids::common_name(),
-                             "www.\xE2\x80\xAElapyap\xE2\x80\xAC.com"),
-    });
-    cert.issuer = cert.subject;
-    cert.validity = {asn1::make_time(2025, 1, 1), asn1::make_time(2025, 4, 1)};
+    x509::Certificate cert =
+        threat::craft_attack_cert("paypal.com", threat::AttackTechnique::kBidiSpoof);
     std::printf("  raw CN bytes : www.<RLO>lapyap<PDF>.com\n");
     std::printf("  user sees    : %s\n",
                 threat::warning_page_identity(threat::Browser::kChromiumFamily, cert).c_str());

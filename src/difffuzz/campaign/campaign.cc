@@ -185,9 +185,7 @@ CampaignReport Campaign::run() {
     // Seeded from the checkpoint, salted apart from the mutation stream.
     const faultsim::HarnessFence fence({.seed = state_.seed ^ 0xCA3BA16EULL,
                                         .flake_rate = options_.flake_rate,
-                                        .poison_rate = options_.poison_rate,
-                                        .flake_failures = options_.flake_failures,
-                                        .retry = options_.retry},
+                                        .poison_rate = options_.poison_rate},
                                        *clock_);
 
     for (;;) {

@@ -76,13 +76,10 @@ struct CampaignOptions {
 
     // Harness-level worker fault injection (deterministic per input
     // salt and keyed by the checkpoint's seed, for supervision tests and
-    // chaos CI): flakes fail `flake_failures` times then recover under
-    // the retry ladder; poisoned inputs fail permanently and are
-    // quarantined.
+    // chaos CI): flakes fail twice then recover under the fence's retry
+    // ladder; poisoned inputs fail permanently and are quarantined.
     double flake_rate = 0.0;
     double poison_rate = 0.0;
-    int flake_failures = 2;
-    core::RetryPolicy retry{.max_attempts = 4, .initial_backoff_ms = 1, .max_backoff_ms = 8};
 };
 
 // What one run() call did (state counters are cumulative across the

@@ -14,13 +14,13 @@ FaultPlanOptions plan_options(const HarnessFenceOptions& options) {
 }  // namespace
 
 HarnessFence::HarnessFence(HarnessFenceOptions options, core::Clock& clock)
-    : options_(options), plan_(plan_options(options)), clock_(&clock) {}
+    : plan_(plan_options(options)), clock_(&clock) {}
 
 Status HarnessFence::inject(uint64_t index, int attempt) const {
     if (plan_.fires(FaultKind::kPoison, index)) {
         return Error{"harness_poisoned", "injected permanent failure"};
     }
-    if (plan_.fires(FaultKind::kTransient, index) && attempt < options_.flake_failures) {
+    if (plan_.fires(FaultKind::kTransient, index) && attempt < kFlakeFailures) {
         return Error{"timeout", "injected transient failure"};
     }
     return Status::success();

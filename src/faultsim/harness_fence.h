@@ -5,16 +5,17 @@
 // threat-scenario engine (one item = one simulated user). Each attempt
 // at item `index` goes, in order:
 //   1. the poison channel: a permanent `harness_poisoned` failure;
-//   2. the transient channel: `timeout` for the first `flake_failures`
-//      attempts, then the item recovers;
+//   2. the transient channel: `timeout` for the first two attempts,
+//      then the item recovers;
 //   3. the work itself, behind an exception fence: anything it throws
 //      becomes a permanent `harness_crashed` failure;
-// and core::retry drives the attempts, so a transient fault is absorbed
-// by backoff and a permanent one hands the caller an error to
-// quarantine the item on. Both channels are FaultPlan decisions keyed
-// by (seed, index), so the schedule is identical at any job count or
-// retry interleaving. Engines seed the fence from their checkpoint, so
-// a resumed run replays the original schedule.
+// and core::retry drives up to four attempts (1 ms backoff, capped at
+// 8 ms), so a transient fault is absorbed by backoff and a permanent
+// one hands the caller an error to quarantine the item on. Both
+// channels are FaultPlan decisions keyed by (seed, index), so the
+// schedule is identical at any job count or retry interleaving. Engines
+// seed the fence from their checkpoint, so a resumed run replays the
+// original schedule.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,6 @@ struct HarnessFenceOptions {
     uint64_t seed = 1;          // checkpoint seed ^ the engine's salt
     double flake_rate = 0.0;    // FaultPlan kTransient
     double poison_rate = 0.0;   // FaultPlan kPoison
-    int flake_failures = 2;     // transient failures before recovery
-    core::RetryPolicy retry;
 };
 
 class HarnessFence {
@@ -56,16 +55,19 @@ public:
             }
         };
         core::RetryOutcome outcome;
-        Expected<T> result = core::retry<T>(options_.retry, *clock_, attempt, &outcome);
+        Expected<T> result = core::retry<T>(kRetry, *clock_, attempt, &outcome);
         *retries += outcome.retries;
         return result;
     }
 
 private:
+    static constexpr int kFlakeFailures = 2;  // transient failures before recovery
+    static constexpr core::RetryPolicy kRetry{.max_attempts = 4, .initial_backoff_ms = 1,
+                                              .max_backoff_ms = 8};
+
     // The injected fault for attempt `attempt` (0-based) at `index`.
     Status inject(uint64_t index, int attempt) const;
 
-    HarnessFenceOptions options_;
     FaultPlan plan_;
     core::Clock* clock_;
 };

@@ -87,7 +87,7 @@ void ScenarioEngine::evaluate_shard(Shard& shard, const TrafficModel& model,
             ++shard.quarantined;
             continue;
         }
-        observe(*result, model, matrix, keys, shard.tally);
+        observe(*result, matrix, keys, shard.tally);
         ++shard.evaluated;
     }
 }
@@ -105,14 +105,12 @@ ScenarioReport ScenarioEngine::run() {
     }
 
     const TrafficModel model = effective_model();
-    const KeyTable keys(model);
+    const KeyTable keys;
     const DetectionMatrix matrix = build_matrix(model);
     // Seeded from the checkpoint, salted apart from the traffic stream.
     const faultsim::HarnessFence fence({.seed = model.seed ^ 0xF1EE7CA5ULL,
                                         .flake_rate = options_.flake_rate,
-                                        .poison_rate = options_.poison_rate,
-                                        .flake_failures = options_.flake_failures,
-                                        .retry = options_.retry},
+                                        .poison_rate = options_.poison_rate},
                                        *clock_);
 
     core::Executor executor(std::max<size_t>(options_.jobs, 1));

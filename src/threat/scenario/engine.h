@@ -50,9 +50,6 @@ struct ScenarioOptions {
     // user index so the schedule is identical at any job count).
     double flake_rate = 0.0;
     double poison_rate = 0.0;
-    int flake_failures = 2;   // transient failures before recovery
-    core::RetryPolicy retry{.max_attempts = 4, .initial_backoff_ms = 1,
-                            .max_backoff_ms = 8};
 };
 
 struct ScenarioReport {

@@ -1,16 +1,17 @@
 // unicert/threat/scenario/fleet.h
 //
-// The profile fleets the scenario engine drives — the §6.2 middlebox
+// The profile fleets the scenario engine drives (the §6.2 middlebox
 // and HTTP-client models, the Appendix F browser renderers, and the
-// Table 6 CT-monitor profiles — evaluated once per (victim, technique)
-// cell into a DetectionMatrix. Because a crafted certificate is a pure
-// function of (victim, technique), every fleet verdict is too; the
-// per-user hot path then costs a few hash draws plus counter
-// increments, which is what makes population scale (millions of users)
-// tractable without materializing any traffic.
+// Table 6 CT-monitor profiles), evaluated once per (victim, technique)
+// cell into a DetectionMatrix by the catalogue's evaluate_fleets
+// (threat/forgery.h). Because a forgery is a pure function of its cell,
+// every fleet verdict is too; the per-user hot path then costs a few
+// hash draws plus counter increments, which is what makes population
+// scale (millions of users) tractable without materializing any
+// traffic.
 //
-// The monitor column comes from one in-memory ctlog::Monitor per
-// profile over the crafted grid. Monitor answers through the same
+// The monitor column indexes each cell's forgery into an in-memory
+// ctlog::Monitor per profile. Monitor answers through the same
 // index::lookup as the durable index::QueryService, so its verdicts are
 // the service's (tests/threat_scenario_engine_test.cc checks this over
 // the grid; the ctlog parity and kill-point suites pin the service's
@@ -25,35 +26,19 @@
 
 namespace unicert::threat::scenario {
 
-// Fleet verdicts for one (victim, technique) cell.
-struct TechniqueCell {
-    // Per-middlebox: does a blocklist rule on the victim name fire?
-    std::vector<bool> mb_flagged;        // kAllMiddleboxes order
-    // Per-client: is the crafted SAN entry accepted?
-    std::vector<bool> client_accepted;   // kAllClients order
-    // Per-browser: does the crafted value display as the target?
-    std::vector<bool> browser_spoofed;   // kAllBrowsers order
-    // Per-monitor: does the owner's query for their own domain MISS the
-    // logged forgery?
-    std::vector<bool> monitor_concealed; // monitor_profiles() order
-    bool caa_applicable = false;
-
-    bool operator==(const TechniqueCell&) const = default;
-};
-
 struct DetectionMatrix {
     size_t victims = 0;
     size_t techniques = 0;
-    std::vector<TechniqueCell> cells;   // victim-major
+    std::vector<FleetVerdicts> cells;   // victim-major, kAllTechniques order
     std::vector<bool> victim_caa;       // per-victim CAA adoption draw
 
-    const TechniqueCell& cell(size_t victim, size_t technique) const {
+    const FleetVerdicts& cell(size_t victim, size_t technique) const {
         return cells[victim * techniques + technique];
     }
 };
 
-// Evaluate all fleets over the crafted-cert grid. Pure function of the
-// (resolved) model.
+// Craft and evaluate every (victim, technique) cell once. Pure function
+// of the (resolved) model.
 DetectionMatrix build_matrix(const TrafficModel& model);
 
 // The fixed tally vocabulary: every counter the engine can emit, with
@@ -61,7 +46,7 @@ DetectionMatrix build_matrix(const TrafficModel& model);
 // dense ids (used on the hot path).
 class KeyTable {
 public:
-    explicit KeyTable(const TrafficModel& model);
+    KeyTable();
 
     size_t size() const noexcept { return names_.size(); }
     const std::vector<std::string>& names() const noexcept { return names_; }
@@ -95,7 +80,7 @@ using Tally = std::vector<uint64_t>;
 
 // Fold one synthesized handshake into `tally` using the precomputed
 // verdicts. Pure: same sample + matrix -> same increments.
-void observe(const HandshakeSample& sample, const TrafficModel& model,
-             const DetectionMatrix& matrix, const KeyTable& keys, Tally& tally);
+void observe(const HandshakeSample& sample, const DetectionMatrix& matrix,
+             const KeyTable& keys, Tally& tally);
 
 }  // namespace unicert::threat::scenario

@@ -1,68 +1,9 @@
 #include "threat/scenario/traffic.h"
 
-#include <algorithm>
-
-#include "asn1/time.h"
-#include "crypto/simsig.h"
 #include "ctlog/corpus.h"
-#include "x509/builder.h"
-#include "x509/extensions.h"
-#include "x509/general_name.h"
-#include "x509/name.h"
 
 namespace unicert::threat::scenario {
 namespace {
-
-namespace oids = asn1::oids;
-using x509::Certificate;
-using x509::dns_name;
-using x509::make_attribute;
-using x509::make_dn;
-
-constexpr char kRlo[] = "\xE2\x80\xAE";   // U+202E RIGHT-TO-LEFT OVERRIDE
-constexpr char kPdf[] = "\xE2\x80\xAC";   // U+202C POP DIRECTIONAL FORMATTING
-constexpr char kZwsp[] = "\xE2\x80\x8B";  // U+200B ZERO WIDTH SPACE
-
-Certificate base_cert(const std::string& cn) {
-    Certificate cert;
-    cert.version = 2;
-    cert.serial = {0x66};
-    cert.subject = make_dn({make_attribute(oids::common_name(), cn)});
-    cert.issuer = make_dn({make_attribute(oids::organization_name(), "Compromised CA")});
-    cert.validity = {asn1::make_time(2025, 1, 1), asn1::make_time(2025, 4, 1)};
-    cert.subject_public_key = crypto::SimSigner::from_name(cn).public_key();
-    return cert;
-}
-
-// Full-script Cyrillic lookalike of an ASCII label: every mappable
-// Latin letter replaced by its confusable Cyrillic counterpart.
-std::string cyrillic_lookalike(std::string_view ascii) {
-    std::string out;
-    out.reserve(ascii.size() * 2);
-    for (char c : ascii) {
-        switch (c) {
-            case 'a': out += "\xD0\xB0"; break;  // а
-            case 'c': out += "\xD1\x81"; break;  // с
-            case 'e': out += "\xD0\xB5"; break;  // е
-            case 'i': out += "\xD1\x96"; break;  // і
-            case 'o': out += "\xD0\xBE"; break;  // о
-            case 'p': out += "\xD1\x80"; break;  // р
-            case 'x': out += "\xD1\x85"; break;  // х
-            case 'y': out += "\xD1\x83"; break;  // у
-            default: out += c; break;
-        }
-    }
-    return out;
-}
-
-std::string first_label(const std::string& domain) {
-    return domain.substr(0, domain.find('.'));
-}
-
-std::string after_first_label(const std::string& domain) {
-    size_t dot = domain.find('.');
-    return dot == std::string::npos ? std::string() : domain.substr(dot);
-}
 
 const std::vector<double>& issuer_weights() {
     static const std::vector<double> weights = [] {
@@ -82,42 +23,6 @@ uint64_t mix64(uint64_t x) noexcept {
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
     return x ^ (x >> 31);
-}
-
-const char* technique_name(AttackTechnique t) noexcept {
-    switch (t) {
-        case AttackTechnique::kNulCn: return "nul_cn";
-        case AttackTechnique::kSpaceCn: return "space_cn";
-        case AttackTechnique::kZwspCn: return "zwsp_cn";
-        case AttackTechnique::kSlashCn: return "slash_cn";
-        case AttackTechnique::kDupCnMaliciousFirst: return "dup_cn_first";
-        case AttackTechnique::kDupCnMaliciousLast: return "dup_cn_last";
-        case AttackTechnique::kNonIa5San: return "non_ia5_san";
-        case AttackTechnique::kBidiSpoof: return "bidi_spoof";
-        case AttackTechnique::kHomograph: return "homograph";
-    }
-    return "unknown";
-}
-
-bool technique_caa_applicable(AttackTechnique t) noexcept {
-    switch (t) {
-        // These claim the victim's own domain (mangled): a CA honoring
-        // the victim's CAA record would have refused the issuance.
-        case AttackTechnique::kNulCn:
-        case AttackTechnique::kSpaceCn:
-        case AttackTechnique::kZwspCn:
-        case AttackTechnique::kSlashCn:
-        case AttackTechnique::kDupCnMaliciousFirst:
-        case AttackTechnique::kDupCnMaliciousLast:
-        case AttackTechnique::kNonIa5San:
-            return true;
-        // Attacker-registered lookalikes: the victim's CAA record has
-        // no authority over someone else's domain.
-        case AttackTechnique::kBidiSpoof:
-        case AttackTechnique::kHomograph:
-            return false;
-    }
-    return false;
 }
 
 const std::vector<std::string>& default_victims() {
@@ -158,75 +63,6 @@ bool victim_has_caa(const TrafficModel& model, size_t victim_index) {
     uint64_t h = mix64(model.seed ^ (0xCAA0000000000000ULL + victim_index));
     double unit = static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
     return unit < model.caa_adoption;
-}
-
-std::string spoof_target(const std::string& victim, AttackTechnique t) {
-    switch (t) {
-        case AttackTechnique::kBidiSpoof: return "www." + victim;
-        case AttackTechnique::kZwspCn:
-        case AttackTechnique::kHomograph: return victim;
-        default: return std::string();
-    }
-}
-
-x509::Certificate craft_attack_cert(const std::string& victim, AttackTechnique t, bool sign) {
-    Certificate cert;
-    switch (t) {
-        case AttackTechnique::kNulCn:
-            cert = base_cert(victim + '\0' + ".evil");
-            break;
-        case AttackTechnique::kSpaceCn:
-            cert = base_cert(victim + " ");
-            break;
-        case AttackTechnique::kZwspCn: {
-            std::string zwsp = victim;
-            zwsp.insert(zwsp.find('.'), kZwsp);
-            cert = base_cert(zwsp);
-            break;
-        }
-        case AttackTechnique::kSlashCn:
-            cert = base_cert(victim + "/x");
-            break;
-        case AttackTechnique::kDupCnMaliciousFirst:
-            // Snort (first CN) sees the victim name; Zeek (last) does not.
-            cert = base_cert(victim);
-            cert.subject = make_dn({
-                make_attribute(oids::common_name(), victim),
-                make_attribute(oids::common_name(), "benign.example"),
-            });
-            break;
-        case AttackTechnique::kDupCnMaliciousLast:
-            cert = base_cert("benign.example");
-            cert.subject = make_dn({
-                make_attribute(oids::common_name(), "benign.example"),
-                make_attribute(oids::common_name(), victim),
-            });
-            break;
-        case AttackTechnique::kNonIa5San:
-            // The blocked name rides in a non-IA5 SAN entry Zeek drops
-            // and lenient clients accept as a raw U-label.
-            cert = base_cert(victim);
-            cert.extensions.push_back(
-                x509::make_san({dns_name("münchen." + victim)}));
-            break;
-        case AttackTechnique::kBidiSpoof: {
-            // "www.<RLO>lapyap<PDF>.com" displays as "www.paypal.com".
-            std::string label = first_label(victim);
-            std::reverse(label.begin(), label.end());
-            cert = base_cert(std::string("www.") + kRlo + label + kPdf +
-                             after_first_label(victim));
-            break;
-        }
-        case AttackTechnique::kHomograph:
-            cert = base_cert(cyrillic_lookalike(first_label(victim)) +
-                             after_first_label(victim));
-            break;
-    }
-    if (sign) {
-        crypto::SimSigner ca = crypto::SimSigner::from_name("Compromised CA");
-        x509::sign_certificate(cert, ca);
-    }
-    return cert;
 }
 
 }  // namespace unicert::threat::scenario

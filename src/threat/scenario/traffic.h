@@ -8,53 +8,20 @@
 // was processing by hashing the same indexes again, which is what makes
 // the checkpoint cursor (`next_user`) a complete in-flight ledger.
 //
-// Adversarial handshakes serve certificates crafted with the §6
-// techniques (the monitor-misleading forgeries, the traffic-obfuscation
-// tricks, the user-spoofing payloads and the homograph class), each
-// aimed at a victim domain drawn from a fixed roster; the per-victim
-// CAA-adoption decision (Tehrani et al.'s Web-PKI interlink dimension)
-// is likewise a pure hash of the seed.
+// Adversarial handshakes serve the forgeries of the §6 catalogue
+// (threat/forgery.h), one kAllTechniques entry each, aimed at a victim
+// domain drawn from a fixed roster; the per-victim CAA-adoption
+// decision (Tehrani et al.'s Web-PKI interlink dimension) is likewise a
+// pure hash of the seed.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "x509/certificate.h"
+#include "threat/forgery.h"
 
 namespace unicert::threat::scenario {
-
-// The §6 technique taxonomy the adversarial traffic mixes over.
-enum class AttackTechnique {
-    kNulCn,              // NUL byte appended to the CN (P1.4 / P2.1)
-    kSpaceCn,            // trailing space (SSLMate drops the CN)
-    kZwspCn,             // zero-width space inside the name
-    kSlashCn,            // slash suffix (SSLMate substring-before-'/')
-    kDupCnMaliciousFirst,  // duplicate CN dodging last-CN extractors (Zeek)
-    kDupCnMaliciousLast,   // duplicate CN dodging first-CN extractors (Snort)
-    kNonIa5San,          // non-IA5 SAN entry invisible to Zeek, lenient clients
-    kBidiSpoof,          // RLO/PDF payload ("www.paypal.com" display spoof)
-    kHomograph,          // Cyrillic full-script lookalike label
-};
-
-inline constexpr size_t kTechniqueCount = 9;
-
-inline constexpr std::array<AttackTechnique, kTechniqueCount> kAllTechniques = {
-    AttackTechnique::kNulCn,           AttackTechnique::kSpaceCn,
-    AttackTechnique::kZwspCn,          AttackTechnique::kSlashCn,
-    AttackTechnique::kDupCnMaliciousFirst, AttackTechnique::kDupCnMaliciousLast,
-    AttackTechnique::kNonIa5San,       AttackTechnique::kBidiSpoof,
-    AttackTechnique::kHomograph,
-};
-
-// Stable snake_case name, used in tally keys and reports.
-const char* technique_name(AttackTechnique t) noexcept;
-
-// Does the technique present the VICTIM'S OWN domain to the CA (a
-// misissuance a CAA record could have refused), as opposed to an
-// attacker-registered lookalike CAA cannot speak for?
-bool technique_caa_applicable(AttackTechnique t) noexcept;
 
 struct TrafficModel {
     uint64_t seed = 42;
@@ -76,8 +43,8 @@ const std::vector<std::string>& default_victims();
 TrafficModel resolved(TrafficModel model);
 
 // One synthesized handshake. Pure function of (model, user_index):
-// contains only draw outcomes — the crafted certificate itself is a
-// pure function of (victim, technique) and lives in the precomputed
+// contains only draw outcomes. The forgery it serves is a pure function
+// of (victim, technique), so its fleet verdicts live in the precomputed
 // detection matrix, which is what keeps the per-user hot path at a few
 // hash draws.
 struct HandshakeSample {
@@ -86,8 +53,7 @@ struct HandshakeSample {
     AttackTechnique technique = AttackTechnique::kNulCn;  // valid when adversarial
     size_t victim = 0;                                    // index into model.victims
     // Benign side: issuer drawn from the Table 2 oligopoly marginal and
-    // whether the cert is internationalized (drives client U-label
-    // acceptance tallies).
+    // whether the cert is internationalized (the benign_idn tally).
     size_t issuer = 0;
     bool idn = false;
 };
@@ -96,17 +62,6 @@ HandshakeSample synthesize_handshake(const TrafficModel& model, uint64_t user_in
 
 // Deterministic per-victim CAA adoption decision (pure in seed/victim).
 bool victim_has_caa(const TrafficModel& model, size_t victim_index);
-
-// The crafted certificate an adversarial handshake serves: pure
-// function of (victim, technique), DER-signed when `sign` is set (the
-// monitor service backend stores leaf DER; the in-memory backend does
-// not need it).
-x509::Certificate craft_attack_cert(const std::string& victim, AttackTechnique t,
-                                    bool sign = false);
-
-// The display-spoof target string for the technique's crafted value
-// (what can_spoof compares against); empty for non-spoof techniques.
-std::string spoof_target(const std::string& victim, AttackTechnique t);
 
 // splitmix64, the repo's standard decision hash.
 uint64_t mix64(uint64_t x) noexcept;

@@ -1,90 +1,38 @@
 #include "threat/scenarios.h"
 
-#include "asn1/time.h"
-#include "ctlog/log.h"
+#include <algorithm>
+#include <iterator>
+
 #include "ctlog/monitor.h"
 #include "idna/labels.h"
 #include "unicode/properties.h"
 #include "threat/browser.h"
+#include "threat/forgery.h"
 #include "threat/middlebox.h"
 #include "tlslib/profile.h"
-#include "x509/builder.h"
+#include "x509/general_name.h"
 
 namespace unicert::threat {
-namespace {
-
-namespace oids = asn1::oids;
-using x509::Certificate;
-using x509::dns_name;
-using x509::make_attribute;
-using x509::make_dn;
-
-Certificate base_cert(const std::string& cn) {
-    Certificate cert;
-    cert.version = 2;
-    cert.serial = {0x66};
-    cert.subject = make_dn({make_attribute(oids::common_name(), cn)});
-    cert.issuer = make_dn({make_attribute(oids::organization_name(), "Compromised CA")});
-    cert.validity = {asn1::make_time(2025, 1, 1), asn1::make_time(2025, 4, 1)};
-    cert.subject_public_key = crypto::SimSigner::from_name(cn).public_key();
-    return cert;
-}
-
-struct Forgery {
-    std::string technique;
-    Certificate cert;
-};
-
-std::vector<Forgery> craft_forgeries(const std::string& victim) {
-    std::vector<Forgery> out;
-
-    // NUL byte appended to the CN: exact-match indexes never see the
-    // victim's name.
-    out.push_back({"NUL byte in CN", base_cert(std::string(victim) + '\0' + ".evil")});
-
-    // Trailing space: SSLMate drops the CN, others index a variant.
-    out.push_back({"space in CN", base_cert(victim + " ")});
-
-    // Zero-width space inside the name.
-    std::string zwsp = victim;
-    zwsp.insert(zwsp.find('.'), "\xE2\x80\x8B");
-    out.push_back({"zero-width space in CN", base_cert(zwsp)});
-
-    // Slash suffix (SSLMate's substring-before-'/' quirk).
-    out.push_back({"slash suffix in CN", base_cert(victim + "/x")});
-
-    return out;
-}
-
-}  // namespace
 
 std::vector<MonitorMisleadingResult> run_monitor_misleading(const std::string& victim_domain) {
-    std::vector<MonitorMisleadingResult> results;
-    std::vector<Forgery> forgeries = craft_forgeries(victim_domain);
-
-    // The compromised CA dutifully logs everything (the CT guarantee
-    // the attack subverts is *discoverability*, not logging).
-    ctlog::CtLog log("misleading-scenario");
-    for (const Forgery& f : forgeries) {
-        Certificate cert = f.cert;
-        crypto::SimSigner ca = crypto::SimSigner::from_name("Compromised CA");
-        x509::sign_certificate(cert, ca);
-        log.submit(cert, asn1::make_time(2025, 2, 1));
+    // The CN shapes of the Section 6.1 experiment.
+    constexpr AttackTechnique kTricks[] = {AttackTechnique::kNulCn, AttackTechnique::kSpaceCn,
+                                           AttackTechnique::kZwspCn, AttackTechnique::kSlashCn};
+    std::vector<FleetVerdicts> verdicts;
+    for (AttackTechnique t : kTricks) {
+        verdicts.push_back(
+            evaluate_fleets(victim_domain, t, craft_attack_cert(victim_domain, t)));
     }
 
-    for (const ctlog::MonitorProfile& profile : ctlog::monitor_profiles()) {
-        ctlog::Monitor monitor(profile);
-        std::vector<size_t> ids;
-        for (const ctlog::LogEntry& entry : log.entries()) {
-            ids.push_back(monitor.index(entry.certificate));
-        }
-        for (size_t i = 0; i < forgeries.size(); ++i) {
+    std::vector<MonitorMisleadingResult> results;
+    std::span<const ctlog::MonitorProfile> profiles = ctlog::monitor_profiles();
+    for (size_t m = 0; m < profiles.size(); ++m) {
+        for (size_t i = 0; i < std::size(kTricks); ++i) {
             MonitorMisleadingResult r;
-            r.monitor = profile.name;
-            r.technique = forgeries[i].technique;
-            r.logged = true;
+            r.monitor = profiles[m].name;
+            r.technique = technique_label(kTricks[i]);
             // The owner queries their own domain name.
-            r.concealed = !monitor.would_find(victim_domain, ids[i]);
+            r.concealed = verdicts[i].monitor_concealed[m];
             results.push_back(std::move(r));
         }
     }
@@ -92,68 +40,46 @@ std::vector<MonitorMisleadingResult> run_monitor_misleading(const std::string& v
 }
 
 std::vector<ObfuscationResult> run_traffic_obfuscation() {
-    std::vector<ObfuscationResult> results;
-    const std::string blocked = "Evil Entity";
-
     // --- P2.1: middlebox blocklist evasion -----------------------------
-    struct Trick {
-        std::string technique;
-        Certificate cert;
+    const std::string blocked = "Evil Entity";
+    constexpr AttackTechnique kTricks[] = {
+        AttackTechnique::kNulCn,
+        AttackTechnique::kTrailingDotCn,
+        AttackTechnique::kCaseVariantCn,  // bypasses Suricata's case-sensitive match only
+        AttackTechnique::kDupCnMaliciousLast,
+        AttackTechnique::kDupCnMaliciousFirst,
+        AttackTechnique::kNonIa5San,
     };
-    std::vector<Trick> tricks;
-
-    // NUL inside the blocked CN.
-    tricks.push_back({"NUL byte in CN",
-                      base_cert(std::string("Evil\0 Entity", 12))});
-    // Trailing dot / extra whitespace variant.
-    tricks.push_back({"trailing dot in CN", base_cert("Evil Entity.")});
-    // Case variant (bypasses Suricata's case-sensitive match only).
-    tricks.push_back({"case variant in CN", base_cert("EVIL ENTITY")});
-    // Duplicate CN: malicious value positioned to dodge first/last
-    // extraction policies.
-    {
-        Certificate dup = base_cert("benign.example");
-        dup.subject = make_dn({
-            make_attribute(oids::common_name(), "benign.example"),  // Snort sees this
-            make_attribute(oids::common_name(), blocked),           // Zeek sees this
-        });
-        tricks.push_back({"duplicate CN, malicious last", dup});
-        Certificate dup2 = base_cert(blocked);
-        dup2.subject = make_dn({
-            make_attribute(oids::common_name(), blocked),           // Snort sees this
-            make_attribute(oids::common_name(), "benign.example"),  // Zeek sees this
-        });
-        tricks.push_back({"duplicate CN, malicious first", dup2});
-    }
-    // Non-IA5 SAN: invisible to Zeek's SAN extraction.
-    {
-        Certificate cert = base_cert(blocked);
-        cert.extensions.push_back(x509::make_san({dns_name("münchen.evil.example")}));
-        tricks.push_back({"non-IA5 SAN entry", cert});
+    std::vector<x509::Certificate> certs;
+    std::vector<FleetVerdicts> verdicts;
+    for (AttackTechnique t : kTricks) {
+        certs.push_back(craft_attack_cert(blocked, t));
+        verdicts.push_back(evaluate_fleets(blocked, t, certs.back()));
     }
 
-    for (Middlebox mb : kAllMiddleboxes) {
-        for (const Trick& trick : tricks) {
+    std::vector<ObfuscationResult> results;
+    for (size_t m = 0; m < kAllMiddleboxes.size(); ++m) {
+        for (size_t i = 0; i < std::size(kTricks); ++i) {
             ObfuscationResult r;
-            r.component = middlebox_name(mb);
-            r.technique = trick.technique;
-            if (trick.technique == "non-IA5 SAN entry") {
+            r.component = middlebox_name(kAllMiddleboxes[m]);
+            r.technique = technique_label(kTricks[i]);
+            if (kTricks[i] == AttackTechnique::kNonIa5San) {
                 // Evaded when the malicious SAN never reaches the rule set.
-                r.evaded = extract_entities(mb, trick.cert).san_dns.empty();
+                r.evaded = extract_entities(kAllMiddleboxes[m], certs[i]).san_dns.empty();
             } else {
-                r.evaded = !blocklist_matches(mb, trick.cert, blocked);
+                r.evaded = !verdicts[i].mb_flagged[m];
             }
             results.push_back(std::move(r));
         }
     }
 
-    // --- P2.2: client SAN format leniency ---------------------------------
-    x509::GeneralName ulabel_san = dns_name("münchen.example");  // U-label, not Punycode
-    for (HttpClient client : kAllClients) {
+    // --- P2.2: client SAN format leniency, on the same U-label SAN ------
+    const FleetVerdicts& ulabel_san = verdicts.back();
+    for (size_t c = 0; c < kAllClients.size(); ++c) {
         ObfuscationResult r;
-        r.component = http_client_name(client);
+        r.component = http_client_name(kAllClients[c]);
         r.technique = "U-label SAN accepted without Punycode validation";
-        r.evaded = validate_san_entry(client, ulabel_san).accepted;
+        r.evaded = ulabel_san.client_accepted[c];
         results.push_back(std::move(r));
     }
     return results;
@@ -174,7 +100,7 @@ CrlSpoofResult run_crl_spoof() {
 
 std::vector<SanForgeryResult> run_san_forgery() {
     std::vector<SanForgeryResult> results;
-    x509::GeneralNames names = {dns_name("a.com, DNS:b.com")};
+    x509::GeneralNames names = {x509::dns_name("a.com, DNS:b.com")};
     for (tlslib::Library lib : tlslib::kAllLibraries) {
         SanForgeryResult r;
         r.library = tlslib::library_name(lib);
@@ -193,61 +119,49 @@ std::vector<SanForgeryResult> run_san_forgery() {
 }
 
 std::vector<UserSpoofResult> run_user_spoofing() {
+    // Figure 7's "www.<RLO>lapyap<PDF>.com", which displays as
+    // "www.paypal.com", and "pay<ZWSP>pal.com", invisible in every
+    // browser.
+    const std::string target = "paypal.com";
     std::vector<UserSpoofResult> results;
-
-    // The Figure 7 payload: "www.<RLO>lapyap<PDF>.com" displays as
-    // "www.paypal.com".
-    std::string crafted = "www.\xE2\x80\xAElapyap\xE2\x80\xAC.com";
-    std::string target = "www.paypal.com";
-
-    for (Browser b : kAllBrowsers) {
-        UserSpoofResult r;
-        r.browser = browser_name(b);
-        r.crafted_value = crafted;
-        r.displayed = render_for_display(b, crafted);
-        r.spoof_success = can_spoof(b, crafted, target);
-        results.push_back(std::move(r));
-    }
-
-    // Zero-width-space spoof (invisible in every browser).
-    std::string zwsp_crafted = "pay\xE2\x80\x8Bpal.com";
-    for (Browser b : kAllBrowsers) {
-        UserSpoofResult r;
-        r.browser = browser_name(b);
-        r.crafted_value = zwsp_crafted;
-        r.displayed = render_for_display(b, zwsp_crafted);
-        r.spoof_success = can_spoof(b, zwsp_crafted, "paypal.com");
-        results.push_back(std::move(r));
+    for (AttackTechnique t : {AttackTechnique::kBidiSpoof, AttackTechnique::kMidLabelZwsp}) {
+        x509::Certificate cert = craft_attack_cert(target, t);
+        FleetVerdicts verdicts = evaluate_fleets(target, t, cert);
+        std::string crafted = crafted_cn(cert);
+        for (size_t b = 0; b < kAllBrowsers.size(); ++b) {
+            UserSpoofResult r;
+            r.browser = browser_name(kAllBrowsers[b]);
+            r.crafted_value = crafted;
+            r.displayed = render_for_display(kAllBrowsers[b], crafted);
+            r.spoof_success = verdicts.browser_spoofed[b];
+            results.push_back(std::move(r));
+        }
     }
     return results;
 }
 
 std::vector<HomographResult> run_homograph_study() {
-    struct Case {
-        const char* target;
-        const char* homograph_utf8;  // single-script lookalike label
-    };
-    // Cyrillic full-script lookalikes: every letter PVALID, no mixed
-    // script — exactly the class IDNA cannot refuse and monitors accept.
-    const Case cases[] = {
-        {"paypal.com", "раураl"},   // р,а,у Cyrillic + Latin l — mixed, detectable
-        {"apple.com", "аррlе"},     // mixed
-        {"epic.com", "еріс"},       // fully Cyrillic е,р,і,с
-    };
-
+    // Cyrillic lookalikes with every letter PVALID: paypal and apple
+    // keep a Latin 'l' (mixed script, detectable); epic is fully
+    // Cyrillic, the class IDNA cannot refuse and monitors accept.
     std::vector<HomographResult> results;
-    for (const Case& c : cases) {
+    for (const char* target : {"paypal.com", "apple.com", "epic.com"}) {
+        x509::Certificate cert = craft_attack_cert(target, AttackTechnique::kHomograph);
+        FleetVerdicts verdicts = evaluate_fleets(target, AttackTechnique::kHomograph, cert);
         HomographResult r;
-        r.target_domain = c.target;
-        r.homograph_ulabel = std::string(c.homograph_utf8) + ".com";
+        r.target_domain = target;
+        r.homograph_ulabel = crafted_cn(cert);
 
-        auto cps = unicode::utf8_to_codepoints(c.homograph_utf8);
+        std::string label = r.homograph_ulabel.substr(0, r.homograph_ulabel.find('.'));
+        auto cps = unicode::utf8_to_codepoints(label);
         if (!cps.ok()) continue;
 
         // Registrability: U-label -> A-label conversion with IDNA checks.
         auto a_label = idna::to_a_label(cps.value());
         r.idna_valid = a_label.ok();
-        if (a_label.ok()) r.homograph_alabel = a_label.value() + ".com";
+        if (a_label.ok()) {
+            r.homograph_alabel = a_label.value() + r.homograph_ulabel.substr(label.size());
+        }
 
         // Visual collision with the target's first label.
         std::string target_label = r.target_domain.substr(0, r.target_domain.find('.'));
@@ -267,9 +181,8 @@ std::vector<HomographResult> run_homograph_study() {
 
         // Browser surface: engines without homograph detection (all of
         // them, per Table 14) render the lookalike undisturbed.
-        for (Browser b : kAllBrowsers) {
-            if (!browser_policy(b).detects_homographs) ++r.browsers_vulnerable;
-        }
+        r.browsers_vulnerable = static_cast<size_t>(std::count(
+            verdicts.browser_spoofed.begin(), verdicts.browser_spoofed.end(), true));
         results.push_back(std::move(r));
     }
     return results;

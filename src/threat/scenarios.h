@@ -11,6 +11,9 @@
 //   * SAN subfield forgery (5.2-1): inject extra DNS entries into
 //     X.509-text output.
 //   * User spoofing (F.1): bidi-override warning-page deception.
+// The forgeries and the fleet verdicts on them come from the catalogue
+// (threat/forgery.h) the population scenario engine also reads; each
+// runner here is a single-target reading of it.
 #pragma once
 
 #include <string>
@@ -30,8 +33,8 @@ struct MonitorMisleadingResult {
 };
 
 // Forge certificates for `victim_domain` with per-technique crafted
-// fields, index them into every monitor profile, then run the queries
-// a domain owner would run.
+// CNs, index each into every monitor profile, then run the query a
+// domain owner would run. Rows are monitor-major, four per monitor.
 std::vector<MonitorMisleadingResult> run_monitor_misleading(const std::string& victim_domain);
 
 // ---- 6.2 traffic obfuscation ---------------------------------------------------

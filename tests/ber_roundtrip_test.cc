@@ -88,7 +88,9 @@ TEST(BerRoundTrip, BerizeIsDeterministic) {
             auto m1 = a.berize(rule, der, 5);
             auto m2 = b.berize(rule, der, 5);
             ASSERT_EQ(m1.has_value(), m2.has_value());
-            if (m1) EXPECT_EQ(*m1, *m2);
+            if (m1) {
+                EXPECT_EQ(*m1, *m2);
+            }
             auto m3 = other.berize(rule, der, 5);
             if (m1 && m3 && *m1 != *m3) any_seed_divergence = true;
         }

@@ -62,7 +62,9 @@ std::unique_ptr<store::Store> make_store(core::Fs& fs, const std::string& dir,
         entry.timestamp = static_cast<int64_t>(i);
         batch.push_back(std::move(entry));
     }
-    if (!batch.empty()) EXPECT_TRUE((*store)->append_batch(batch).ok());
+    if (!batch.empty()) {
+        EXPECT_TRUE((*store)->append_batch(batch).ok());
+    }
     return std::move(*store);
 }
 

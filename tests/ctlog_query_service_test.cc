@@ -60,7 +60,9 @@ struct Fixture {
         for (size_t i = 0; i < hosts.size(); ++i) {
             batch.push_back(entry_for(hosts[i], hosts[i], static_cast<int64_t>(i)));
         }
-        if (!batch.empty()) EXPECT_TRUE(store->append_batch(batch).ok());
+        if (!batch.empty()) {
+            EXPECT_TRUE(store->append_batch(batch).ok());
+        }
     }
 };
 
@@ -380,7 +382,9 @@ TEST(QueryService, ConcurrentReadersDuringIngestion) {
                       "host-" + std::to_string(3 + batch) + ".example", 100 + batch)};
         ASSERT_TRUE(service.ingest(entries).ok());
         committed.store(4 + static_cast<size_t>(batch));
-        if (batch % 4 == 3) ASSERT_TRUE(service.refresh().ok());
+        if (batch % 4 == 3) {
+            ASSERT_TRUE(service.refresh().ok());
+        }
     }
     stop.store(true);
     for (auto& t : readers) t.join();

@@ -251,7 +251,6 @@ TEST(Campaign, TransientWorkerFlakesAreRetriedTransparently) {
     CrashCorpus corpus("camp/corpus", &fs);
     CampaignOptions options = small_options(13, 2, 48);
     options.flake_rate = 0.2;   // transient failures, below the retry budget
-    options.flake_failures = 2;
     core::ManualClock clock;
     Campaign campaign(options, corpus, fs, "camp", tlslib::builtin_model(), clock);
     ASSERT_TRUE(campaign.start_fresh().ok());

@@ -12,6 +12,7 @@
 #include "ctlog/monitor.h"
 #include "ctlog/store/store.h"
 #include "threat/scenario/engine.h"
+#include "x509/builder.h"
 
 namespace unicert::threat::scenario {
 namespace {
@@ -79,9 +80,10 @@ TEST(ScenarioEngine, MonitorVerdictsMatchTheQueryService) {
     std::vector<ctlog::store::PendingEntry> grid;
     for (size_t v = 0; v < matrix.victims; ++v) {
         for (size_t t = 0; t < T; ++t) {
+            x509::Certificate cert = craft_attack_cert(model.victims[v], kAllTechniques[t]);
+            x509::sign_certificate(cert, compromised_ca());
             ctlog::store::PendingEntry entry;
-            entry.leaf_der =
-                craft_attack_cert(model.victims[v], kAllTechniques[t], /*sign=*/true).der;
+            entry.leaf_der = cert.der;
             entry.timestamp = static_cast<int64_t>(v * T + t);
             grid.push_back(std::move(entry));
         }

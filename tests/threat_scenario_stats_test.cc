@@ -8,6 +8,7 @@
 #include "threat/scenario/state.h"
 #include "threat/scenario/stats.h"
 #include "threat/scenario/traffic.h"
+#include "x509/builder.h"
 
 namespace unicert::threat::scenario {
 namespace {
@@ -121,7 +122,7 @@ TEST(ScenarioState, WrongMagicRejected) {
 // functions of (seed, user_index): same inputs, same sample, across
 // any call ordering.
 TEST(ScenarioTraffic, HandshakesArePureFunctions) {
-    TrafficModel model = resolved(TrafficModel{.seed = 13, .dose = 0.1});
+    TrafficModel model = resolved(TrafficModel{.seed = 13, .dose = 0.1, .victims = {}});
     for (uint64_t user : {0ull, 1ull, 999ull, 123456789ull}) {
         HandshakeSample a = synthesize_handshake(model, user);
         HandshakeSample b = synthesize_handshake(model, user);
@@ -131,8 +132,8 @@ TEST(ScenarioTraffic, HandshakesArePureFunctions) {
         EXPECT_EQ(static_cast<int>(a.technique), static_cast<int>(b.technique)) << user;
     }
     // And the dose knob actually selects adversarial users.
-    TrafficModel zero = resolved(TrafficModel{.seed = 13, .dose = 0.0});
-    TrafficModel full = resolved(TrafficModel{.seed = 13, .dose = 1.0});
+    TrafficModel zero = resolved(TrafficModel{.seed = 13, .dose = 0.0, .victims = {}});
+    TrafficModel full = resolved(TrafficModel{.seed = 13, .dose = 1.0, .victims = {}});
     for (uint64_t user = 0; user < 200; ++user) {
         EXPECT_FALSE(synthesize_handshake(zero, user).adversarial);
         EXPECT_TRUE(synthesize_handshake(full, user).adversarial);
@@ -141,8 +142,10 @@ TEST(ScenarioTraffic, HandshakesArePureFunctions) {
 
 TEST(ScenarioTraffic, CraftedCertsAreDeterministic) {
     for (AttackTechnique technique : kAllTechniques) {
-        x509::Certificate a = craft_attack_cert("paypal.com", technique, /*sign=*/true);
-        x509::Certificate b = craft_attack_cert("paypal.com", technique, /*sign=*/true);
+        x509::Certificate a = craft_attack_cert("paypal.com", technique);
+        x509::Certificate b = craft_attack_cert("paypal.com", technique);
+        x509::sign_certificate(a, compromised_ca());
+        x509::sign_certificate(b, compromised_ca());
         EXPECT_EQ(a.der, b.der) << technique_name(technique);
     }
 }
