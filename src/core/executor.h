@@ -1,7 +1,8 @@
 // unicert/core/executor.h
 //
 // Work-stealing thread-pool executor — the repo's first concurrency
-// layer, shared by ParallelPipeline and any future sharded consumer.
+// layer, shared by ParallelPipeline, the fuzzing campaign and the
+// scenario engine.
 // Each worker owns a deque: the owner pushes and pops at the back
 // (LIFO, cache-warm), idle workers steal from the front of a victim's
 // deque (FIFO, oldest work first). External threads submit round-robin

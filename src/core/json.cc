@@ -2,32 +2,9 @@
 
 #include <cstdio>
 
-namespace unicert::core {
+#include "common/json_escape.h"
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(static_cast<char>(c));
-                }
-        }
-    }
-    return out;
-}
+namespace unicert::core {
 
 std::string lint_report_to_json(const lint::CertReport& report) {
     std::string out = "{\"noncompliant\":";

@@ -6,17 +6,12 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "lint/lint.h"
 
 namespace unicert::core {
-
-// JSON string escaping (control characters, quotes, backslash; UTF-8
-// passes through verbatim).
-std::string json_escape(std::string_view s);
 
 // One certificate's lint report:
 // {"noncompliant":true,"findings":[{"lint":...,"severity":...,

@@ -1,18 +1,9 @@
 #include "core/log_ingest.h"
 
-#include <algorithm>
-
 namespace unicert::core {
 
-LogCertSource::LogCertSource(ctlog::LogSource& log, ctlog::ShardRange range)
-    : log_(&log), range_(range), cursor_(range.begin) {}
-
-LogCertSource::LogCertSource(ctlog::LogSource& log, const ctlog::ShardCheckpoint& resume)
-    : log_(&log), range_(resume.range),
-      cursor_(std::clamp(resume.next_index, resume.range.begin, resume.range.end)) {}
-
 Expected<std::optional<CertEntry>> LogCertSource::next() {
-    if (cursor_ >= range_.end) return std::optional<CertEntry>{};
+    if (cursor_ >= end_) return std::optional<CertEntry>{};
     auto fetched = log_->entry_at(cursor_);
     if (!fetched.ok()) return fetched.error();
     if (fetched->index != cursor_) {
@@ -26,14 +17,6 @@ Expected<std::optional<CertEntry>> LogCertSource::next() {
     entry.der = std::move(fetched->leaf_der);
     ++cursor_;
     return std::optional<CertEntry>(std::move(entry));
-}
-
-ctlog::ShardCheckpoint LogCertSource::checkpoint() const noexcept {
-    ctlog::ShardCheckpoint cp;
-    cp.range = range_;
-    cp.next_index = cursor_;
-    cp.completed = cursor_ >= range_.end;
-    return cp;
 }
 
 }  // namespace unicert::core

@@ -1,30 +1,28 @@
 // unicert/core/log_ingest.h
 //
-// Adapter that turns one shard of a ctlog::LogSource into a
-// core::CertSource so the compliance pipeline (serial or parallel)
-// ingests CT logs directly. Entries are delivered as wire DER in log
-// order; the cursor only advances on a delivery the pipeline received,
-// so a transient fetch failure retries the same entry and the exposed
-// ShardCheckpoint makes an aborted pass resumable without re-fetching
-// or double-counting (the shard-level analogue of Monitor::sync's
-// checkpoint).
+// The one way a CT log enters the compliance pipeline: a cursor over
+// [begin, end) of a ctlog::LogSource, read through the ordinary
+// CertSource constructors (serial or parallel). Entries are delivered
+// as wire DER in log order, each tagged with its log index. The cursor
+// only advances on a delivery the pipeline received, so a transient
+// fetch failure retries the same entry, and after an aborted pass
+// next_index() is the failing entry: a new LogCertSource starting
+// there resumes without re-fetching or double-counting. That is the
+// pipeline's analogue of Monitor::sync's checkpoint, and the way to
+// keep reading a log that grows.
 #pragma once
 
 #include "core/pipeline.h"
 #include "ctlog/log_source.h"
-#include "ctlog/shard.h"
 
 namespace unicert::core {
 
 class LogCertSource final : public CertSource {
 public:
-    // Consume [range.begin, range.end) of `log`. `resume_at` rewinds or
-    // fast-forwards the cursor inside the range (clamped), for resuming
-    // from a prior checkpoint.
-    LogCertSource(ctlog::LogSource& log, ctlog::ShardRange range);
-    LogCertSource(ctlog::LogSource& log, const ctlog::ShardCheckpoint& resume);
+    LogCertSource(ctlog::LogSource& log, size_t begin, size_t end)
+        : log_(&log), cursor_(begin), end_(end) {}
 
-    size_t size_hint() const override { return cursor_ >= range_.end ? 0 : range_.end - cursor_; }
+    size_t size_hint() const override { return cursor_ >= end_ ? 0 : end_ - cursor_; }
 
     // Delivers the entry at the cursor as CertEntry{index, der}. A
     // response carrying a different index than requested is a stale
@@ -33,14 +31,14 @@ public:
     // an error.
     Expected<std::optional<CertEntry>> next() override;
 
-    // Current durable position. `completed` is true once the cursor
-    // reached range.end.
-    ctlog::ShardCheckpoint checkpoint() const noexcept;
+    // The next entry to deliver: where a resumed pass starts. Reaches
+    // `end` once the range is consumed.
+    size_t next_index() const noexcept { return cursor_; }
 
 private:
     ctlog::LogSource* log_;
-    ctlog::ShardRange range_;
     size_t cursor_;
+    size_t end_;
 };
 
 }  // namespace unicert::core

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "core/executor.h"
-#include "core/log_ingest.h"
 
 namespace unicert::core {
 namespace {
@@ -39,23 +38,6 @@ size_t auto_batch_size(size_t size_hint, size_t jobs) {
 ParallelPipeline::ParallelPipeline(CertSource& source, PipelineOptions options,
                                    ParallelOptions parallel)
     : jobs_(resolve_jobs(parallel)) {
-    run_batched(source, options);
-}
-
-ParallelPipeline::ParallelPipeline(ctlog::LogSource& log, PipelineOptions options,
-                                   ParallelOptions parallel)
-    : jobs_(resolve_jobs(parallel)) {
-    run_sharded(log, {}, options);
-}
-
-ParallelPipeline::ParallelPipeline(ctlog::LogSource& log,
-                                   std::vector<ctlog::ShardCheckpoint> resume,
-                                   PipelineOptions options, ParallelOptions parallel)
-    : jobs_(resolve_jobs(parallel)) {
-    run_sharded(log, std::move(resume), options);
-}
-
-void ParallelPipeline::run_batched(CertSource& source, const PipelineOptions& options) {
     const size_t size_hint = source.size_hint();
     const size_t batch_size = auto_batch_size(size_hint, jobs_);
     internal::ProgressCounter progress(options, size_hint);
@@ -145,47 +127,6 @@ void ParallelPipeline::run_batched(CertSource& source, const PipelineOptions& op
     // delivered before it; its index is the unique-success count.
     if (abort_error) fetched.abort(stats().processed, std::move(*abort_error));
     absorb(std::move(fetched));
-}
-
-void ParallelPipeline::run_sharded(ctlog::LogSource& log,
-                                   std::vector<ctlog::ShardCheckpoint> shards,
-                                   const PipelineOptions& options) {
-    if (shards.empty()) {
-        internal::StreamState head;
-        auto sth = internal::fetch<ctlog::SignedTreeHead>(options, head,
-                                                          [&] { return log.latest_tree_head(); });
-        if (!sth.ok()) head.abort(0, sth.error());
-        absorb(std::move(head));
-        if (!sth.ok()) return;
-        for (const ctlog::ShardRange& range : ctlog::shard_ranges(sth->tree_size, jobs_)) {
-            shards.push_back({range, range.begin, false});
-        }
-    }
-    shard_checkpoints_ = std::move(shards);
-
-    size_t remaining = 0;
-    for (const ctlog::ShardCheckpoint& cp : shard_checkpoints_) remaining += cp.remaining();
-    internal::ProgressCounter progress(options, remaining);
-
-    std::vector<internal::StreamState> states(shard_checkpoints_.size());
-    {
-        Executor pool(jobs_);
-        for (size_t i = 0; i < shard_checkpoints_.size(); ++i) {
-            if (shard_checkpoints_[i].completed) continue;
-            pool.submit([this, i, &log, &states, &options, &progress] {
-                LogCertSource source(log, shard_checkpoints_[i]);
-                internal::run_stream(source, options, progress, states[i]);
-                // An aborted stream leaves the cursor at the failing
-                // entry, so completed stays false and resume retries it.
-                shard_checkpoints_[i] = source.checkpoint();
-            });
-        }
-        pool.wait_idle();
-    }
-
-    // Shards are contiguous index ranges, so absorbing them in range
-    // order reproduces global log order.
-    for (internal::StreamState& state : states) absorb(std::move(state));
 }
 
 }  // namespace unicert::core

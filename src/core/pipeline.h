@@ -250,9 +250,9 @@ struct PipelineOptions {
 
 namespace internal {
 
-// Everything one ingestion run, or one shard or batch of a run,
-// produces. Every path fills these and lands them in the pipeline
-// through CompliancePipeline::absorb, in input order.
+// Everything one ingestion run, or one batch of a run, produces.
+// Every path fills these and lands them in the pipeline through
+// CompliancePipeline::absorb, in input order.
 struct StreamState {
     std::vector<AnalyzedCert> analyzed;
     // Wire-parsed certs. A list so absorb can splice it without moving
@@ -267,10 +267,10 @@ struct StreamState {
     void abort(size_t entry_index, Error error);
 };
 
-// The one progress counter of a run, shared by all its shards and
-// batches: each linted certificate counts once run-wide, and every
-// multiple of progress_interval reaches the hook exactly once, in
-// order, under a mutex so calls never overlap.
+// The one progress counter of a run, shared by all its batches: each
+// linted certificate counts once run-wide, and every multiple of
+// progress_interval reaches the hook exactly once, in order, under a
+// mutex so calls never overlap.
 class ProgressCounter {
 public:
     ProgressCounter(const PipelineOptions& options, size_t size_hint)
@@ -309,7 +309,7 @@ bool analyze_entry(const CertEntry& entry, const PipelineOptions& options,
 // The streaming ladder — retry transient fetch faults, dedup
 // redeliveries by entry index, analyze each new entry, abort on
 // permanent stream failure. Both constructors of CompliancePipeline run
-// it, and so does each shard of the parallel log-ingestion path.
+// it; it is the serial reference ParallelPipeline's results must equal.
 void run_stream(CertSource& source, const PipelineOptions& options, ProgressCounter& progress,
                 StreamState& state);
 
@@ -348,8 +348,8 @@ public:
     std::vector<VariantGroup> subject_variants() const;      // Table 3
 
 protected:
-    // For ParallelPipeline: construct empty, then absorb each shard or
-    // batch in input order.
+    // For ParallelPipeline: construct empty, then absorb each batch in
+    // input order.
     CompliancePipeline() = default;
 
     // The one way results enter the pipeline: append `state` after

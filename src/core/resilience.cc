@@ -5,6 +5,8 @@
 #include <string_view>
 #include <thread>
 
+#include "common/splitmix.h"
+
 namespace unicert::core {
 namespace {
 
@@ -18,14 +20,6 @@ public:
         if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     }
 };
-
-// splitmix64: the one-shot mixer behind the deterministic jitter.
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -94,8 +88,7 @@ int64_t RetryPolicy::backoff_ms(int attempt) const noexcept {
     base = std::min(base, static_cast<double>(max_backoff_ms));
     // Deterministic jitter in [0, jitter_fraction] of the base delay.
     uint64_t h = mix64(jitter_seed ^ (0xA5A5A5A5ULL + static_cast<uint64_t>(attempt)));
-    double unit = static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
-    double jitter = jitter_fraction > 0 ? base * jitter_fraction * unit : 0.0;
+    double jitter = jitter_fraction > 0 ? base * jitter_fraction * unit_draw(h) : 0.0;
     return static_cast<int64_t>(base + jitter);
 }
 

@@ -32,7 +32,7 @@ Clock& system_clock();
 
 // Manually advanced clock: sleep_ms() moves the epoch forward without
 // blocking. Backoff schedules become pure arithmetic under test.
-// Thread-safe: parallel shard tasks back off against a shared instance,
+// Thread-safe: parallel tasks back off against a shared instance,
 // and the slept total stays deterministic (a commutative sum) however
 // the sleeps interleave.
 class ManualClock final : public Clock {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "asn1/time.h"
+#include "common/splitmix.h"
 #include "idna/labels.h"
 #include "idna/punycode.h"
 #include "x509/builder.h"
@@ -373,7 +374,7 @@ uint64_t Rng::next() noexcept {
 }
 
 double Rng::uniform() noexcept {
-    return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
+    return unit_draw(next());
 }
 
 size_t Rng::pick_weighted(std::span<const double> weights) noexcept {

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/splitmix.h"
 #include "core/executor.h"
 #include "faultsim/der_mutator.h"
 #include "faultsim/harness_fence.h"
 
 namespace unicert::difffuzz::campaign {
 namespace {
-
-// splitmix64, the repo's standard decision hash.
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 size_t initial_seed_count() {
     static const size_t count = DiffFuzzer::seed_inputs().size();

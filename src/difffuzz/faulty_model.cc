@@ -4,19 +4,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/splitmix.h"
+
 namespace unicert::difffuzz {
 namespace {
-
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-double unit(uint64_t h) noexcept {
-    return static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
-}
 
 // FNV-1a over the payload, mixed with seed and library: the fault
 // decision is a pure function of content, so replay re-triggers it.
@@ -35,7 +26,7 @@ std::optional<tlslib::ParseOutcome> FaultyModel::maybe_fault(tlslib::Library lib
         return std::nullopt;
     }
     uint64_t h = content_hash(options_.seed, lib, payload);
-    double u = unit(h);
+    double u = unit_draw(h);
     if (options_.crash_rate > 0.0 && u < options_.crash_rate) {
         ++injected_;
         throw std::runtime_error(std::string("injected crash in ") + tlslib::library_name(lib));

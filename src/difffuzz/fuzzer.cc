@@ -5,6 +5,7 @@
 
 #include "asn1/der.h"
 #include "asn1/oid.h"
+#include "common/splitmix.h"
 #include "difffuzz/reducer.h"
 #include "faultsim/der_mutator.h"
 
@@ -14,13 +15,6 @@ namespace {
 using tlslib::EvalOutcome;
 using tlslib::Library;
 using tlslib::Scenario;
-
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 // 16-hex-char signature of an arbitrary string (FNV-1a then mix).
 std::string signature_of(std::string_view text) {

@@ -5,17 +5,10 @@
 #include "asn1/der.h"
 #include "asn1/encoding.h"
 #include "asn1/strings.h"
+#include "common/splitmix.h"
 
 namespace unicert::faultsim {
 namespace {
-
-// splitmix64, same mixer as FaultPlan: schedules stay order-independent.
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 // One TLV node located in the buffer.
 struct Node {

@@ -1,19 +1,9 @@
 #include "faultsim/fault_plan.h"
 
+#include "common/splitmix.h"
+
 namespace unicert::faultsim {
 namespace {
-
-// splitmix64 one-shot mixer: the whole schedule is hashes of it.
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-double unit(uint64_t h) noexcept {
-    return static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
-}
 
 uint64_t channel_hash(uint64_t seed, FaultKind kind, size_t index) noexcept {
     uint64_t k = static_cast<uint64_t>(kind) + 1;
@@ -38,7 +28,7 @@ bool FaultPlan::fires(FaultKind kind, size_t index) const noexcept {
         case FaultKind::kBitFlip: rate = options_.bit_flip_rate; break;
     }
     if (rate <= 0.0) return false;
-    return unit(channel_hash(options_.seed, kind, index)) < rate;
+    return unit_draw(channel_hash(options_.seed, kind, index)) < rate;
 }
 
 size_t FaultPlan::choose(FaultKind kind, size_t index, size_t bound) const noexcept {

@@ -9,8 +9,8 @@
 // decorator produces the identical fault sequence.
 //
 // Thread-safe: the bookkeeping is per-index and guarded by an internal
-// mutex, so sharded parallel ingestion can fetch entries concurrently
-// and still observe exactly the per-index schedule the plan dictates.
+// mutex, so callers may fetch entries from several threads and still
+// observe exactly the per-index schedule the plan dictates.
 #pragma once
 
 #include <map>

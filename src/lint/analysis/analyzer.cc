@@ -6,6 +6,7 @@
 #include <set>
 
 #include "asn1/time.h"
+#include "common/json_escape.h"
 #include "crypto/simsig.h"
 #include "ctlog/corpus.h"
 #include "faultsim/der_mutator.h"
@@ -445,7 +446,7 @@ std::string baseline_line(const AnalysisFinding& f) {
     return line;
 }
 
-size_t apply_baseline(AnalysisReport& report, std::string_view baseline_text) {
+std::set<std::string> baseline_entries(std::string_view baseline_text) {
     std::set<std::string> acknowledged;
     size_t start = 0;
     while (start <= baseline_text.size()) {
@@ -461,6 +462,11 @@ size_t apply_baseline(AnalysisReport& report, std::string_view baseline_text) {
         if (end == std::string_view::npos) break;
         start = end + 1;
     }
+    return acknowledged;
+}
+
+size_t apply_baseline(AnalysisReport& report, std::string_view baseline_text) {
+    const std::set<std::string> acknowledged = baseline_entries(baseline_text);
 
     size_t moved = 0;
     std::vector<AnalysisFinding> remaining;
@@ -480,30 +486,6 @@ size_t apply_baseline(AnalysisReport& report, std::string_view baseline_text) {
 
 namespace {
 
-std::string escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    static const char* kHex = "0123456789abcdef";
-                    out += "\\u00";
-                    out += kHex[(c >> 4) & 0xF];
-                    out += kHex[c & 0xF];
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 void append_findings(std::string& json, const std::vector<AnalysisFinding>& findings) {
     json += '[';
     for (size_t i = 0; i < findings.size(); ++i) {
@@ -512,15 +494,15 @@ void append_findings(std::string& json, const std::vector<AnalysisFinding>& find
         json += "{\"class\":\"";
         json += check_class_name(f.cls);
         json += "\",\"rule\":\"";
-        json += escape(f.rule);
+        json += json_escape(f.rule);
         json += '"';
         if (!f.other.empty()) {
             json += ",\"other\":\"";
-            json += escape(f.other);
+            json += json_escape(f.other);
             json += '"';
         }
         json += ",\"detail\":\"";
-        json += escape(f.detail);
+        json += json_escape(f.detail);
         json += "\"}";
     }
     json += ']';

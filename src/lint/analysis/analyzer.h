@@ -23,6 +23,7 @@
 // always surface.
 #pragma once
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,6 +121,11 @@ private:
 // with `-` for an empty counterpart; blank lines and `#` comments
 // ignored. Returns the number of findings moved to report.baselined.
 size_t apply_baseline(AnalysisReport& report, std::string_view baseline_text);
+
+// The acknowledged lines of a baseline text, trimmed, without blank
+// lines and `#` comments. Shared with tlslib::analysis, whose baseline
+// has the same line format.
+std::set<std::string> baseline_entries(std::string_view baseline_text);
 
 // The canonical baseline line for a finding (no trailing newline).
 std::string baseline_line(const AnalysisFinding& f);

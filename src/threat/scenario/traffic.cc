@@ -1,5 +1,6 @@
 #include "threat/scenario/traffic.h"
 
+#include "common/splitmix.h"
 #include "ctlog/corpus.h"
 
 namespace unicert::threat::scenario {
@@ -17,13 +18,6 @@ const std::vector<double>& issuer_weights() {
 }
 
 }  // namespace
-
-uint64_t mix64(uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 const std::vector<std::string>& default_victims() {
     static const std::vector<std::string> victims = {
@@ -61,8 +55,7 @@ HandshakeSample synthesize_handshake(const TrafficModel& model, uint64_t user_in
 
 bool victim_has_caa(const TrafficModel& model, size_t victim_index) {
     uint64_t h = mix64(model.seed ^ (0xCAA0000000000000ULL + victim_index));
-    double unit = static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-    return unit < model.caa_adoption;
+    return unit_draw(h) < model.caa_adoption;
 }
 
 }  // namespace unicert::threat::scenario

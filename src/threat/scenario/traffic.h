@@ -63,7 +63,4 @@ HandshakeSample synthesize_handshake(const TrafficModel& model, uint64_t user_in
 // Deterministic per-victim CAA adoption decision (pure in seed/victim).
 bool victim_has_caa(const TrafficModel& model, size_t victim_index);
 
-// splitmix64, the repo's standard decision hash.
-uint64_t mix64(uint64_t x) noexcept;
-
 }  // namespace unicert::threat::scenario

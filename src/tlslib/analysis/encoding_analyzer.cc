@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/json_escape.h"
 #include "crypto/simsig.h"
 #include "ctlog/corpus.h"
 #include "faultsim/der_mutator.h"
@@ -341,20 +342,7 @@ std::string baseline_line(const EncFinding& f) {
 }
 
 size_t apply_baseline(EncodingReport& report, std::string_view baseline_text) {
-    std::set<std::string> acknowledged;
-    size_t start = 0;
-    while (start <= baseline_text.size()) {
-        size_t end = baseline_text.find('\n', start);
-        std::string_view line = baseline_text.substr(
-            start, end == std::string_view::npos ? std::string_view::npos : end - start);
-        while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-            line.remove_suffix(1);
-        }
-        while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-        if (!line.empty() && line.front() != '#') acknowledged.emplace(line);
-        if (end == std::string_view::npos) break;
-        start = end + 1;
-    }
+    const std::set<std::string> acknowledged = lint::analysis::baseline_entries(baseline_text);
 
     size_t moved = 0;
     std::vector<EncFinding> remaining;
@@ -374,30 +362,6 @@ size_t apply_baseline(EncodingReport& report, std::string_view baseline_text) {
 
 namespace {
 
-std::string escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    static const char* kHex = "0123456789abcdef";
-                    out += "\\u00";
-                    out += kHex[(c >> 4) & 0xF];
-                    out += kHex[c & 0xF];
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 void append_findings(std::string& json, const std::vector<EncFinding>& findings) {
     json += '[';
     for (size_t i = 0; i < findings.size(); ++i) {
@@ -406,11 +370,11 @@ void append_findings(std::string& json, const std::vector<EncFinding>& findings)
         json += "{\"class\":\"";
         json += enc_check_class_name(f.cls);
         json += "\",\"subject\":\"";
-        json += escape(f.subject);
+        json += json_escape(f.subject);
         json += "\",\"rule\":\"";
-        json += escape(f.rule);
+        json += json_escape(f.rule);
         json += "\",\"detail\":\"";
-        json += escape(f.detail);
+        json += json_escape(f.detail);
         json += "\"}";
     }
     json += ']';

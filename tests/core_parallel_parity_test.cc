@@ -269,7 +269,7 @@ TEST(ParallelLogParity, ShardedIngestionMatchesSerialFullRange) {
 
     // Serial reference: the whole log as one stream.
     core::ManualClock serial_clock;
-    core::LogCertSource serial_source(inner, ctlog::ShardRange{0, 60});
+    core::LogCertSource serial_source(inner, 0, 60);
     core::CompliancePipeline serial(serial_source, deterministic_options(serial_clock));
     ASSERT_TRUE(serial.stats().completed);
     ASSERT_EQ(serial.stats().processed, 60u);
@@ -277,17 +277,10 @@ TEST(ParallelLogParity, ShardedIngestionMatchesSerialFullRange) {
 
     for (size_t jobs : kJobSweep) {
         core::ManualClock clock;
-        core::ParallelPipeline parallel(inner, deterministic_options(clock), {.jobs = jobs});
+        core::LogCertSource source(inner, 0, 60);
+        core::ParallelPipeline parallel(source, deterministic_options(clock), {.jobs = jobs});
         EXPECT_EQ(full_fingerprint(parallel), expected) << "jobs=" << jobs;
-        // One checkpoint per shard, all completed, covering the log.
-        const auto& cps = parallel.shard_checkpoints();
-        ASSERT_EQ(cps.size(), std::min<size_t>(jobs, 60));
-        size_t covered = 0;
-        for (const ctlog::ShardCheckpoint& cp : cps) {
-            EXPECT_TRUE(cp.completed);
-            covered += cp.range.size();
-        }
-        EXPECT_EQ(covered, 60u);
+        EXPECT_EQ(source.next_index(), 60u) << "jobs=" << jobs;
     }
 }
 
@@ -306,7 +299,7 @@ TEST(ParallelLogParity, FaultedShardsStillMatchSerial) {
     // state replays identically).
     core::ManualClock serial_clock;
     faultsim::FaultyLogSource serial_faulty(inner, faultsim::FaultPlan(plan));
-    core::LogCertSource serial_source(serial_faulty, ctlog::ShardRange{0, 48});
+    core::LogCertSource serial_source(serial_faulty, 0, 48);
     core::CompliancePipeline serial(serial_source, deterministic_options(serial_clock));
     ASSERT_TRUE(serial.stats().completed);
     ASSERT_GT(serial.stats().retries, 0u);
@@ -316,9 +309,10 @@ TEST(ParallelLogParity, FaultedShardsStillMatchSerial) {
     for (size_t jobs : kJobSweep) {
         core::ManualClock clock;
         faultsim::FaultyLogSource faulty(inner, faultsim::FaultPlan(plan));
-        core::ParallelPipeline parallel(faulty, deterministic_options(clock), {.jobs = jobs});
-        // The fault schedule is per-index, so shard boundaries don't
-        // change which entries fault — parity must hold exactly.
+        core::LogCertSource source(faulty, 0, 48);
+        core::ParallelPipeline parallel(source, deterministic_options(clock), {.jobs = jobs});
+        // The fault schedule is per-index and one thread fetches, so
+        // the job count changes neither which entries fault nor when.
         EXPECT_EQ(full_fingerprint(parallel), expected) << "jobs=" << jobs;
         EXPECT_EQ(faulty.injected_faults(), serial_faulty.injected_faults());
     }
@@ -341,15 +335,17 @@ TEST(ParallelLogParity, ProgressCountsRunWideAcrossShards) {
 
     std::vector<size_t> serial_reports;
     core::ManualClock serial_clock;
-    core::LogCertSource serial_source(inner, ctlog::ShardRange{0, 80});
+    core::LogCertSource serial_source(inner, 0, 80);
     core::CompliancePipeline serial(serial_source, progress_options(serial_clock, serial_reports));
     EXPECT_EQ(serial_reports, every_25);
 
-    // No shard reaches 25 entries at jobs >= 4; the count is run-wide.
+    // No batch holds 25 entries (80 / (jobs * 8) is at most 10), so the
+    // count is run-wide.
     for (size_t jobs : kJobSweep) {
         std::vector<size_t> reports;
         core::ManualClock clock;
-        core::ParallelPipeline parallel(inner, progress_options(clock, reports), {.jobs = jobs});
+        core::LogCertSource source(inner, 0, 80);
+        core::ParallelPipeline parallel(source, progress_options(clock, reports), {.jobs = jobs});
         EXPECT_EQ(reports, every_25) << "jobs=" << jobs;
     }
 }
@@ -369,7 +365,7 @@ TEST(ParallelLogParity, AbortedShardResumesFromCheckpoint) {
             return inner_->latest_tree_head();
         }
         Expected<ctlog::RawLogEntry> entry_at(size_t index) override {
-            if (!healed_.load() && index == fail_at_) {
+            if (!healed_ && index == fail_at_) {
                 return Error{"source_closed", "entry permanently offline"};
             }
             return inner_->entry_at(index);
@@ -379,59 +375,46 @@ TEST(ParallelLogParity, AbortedShardResumesFromCheckpoint) {
     private:
         ctlog::LogSource* inner_;
         size_t fail_at_;
-        std::atomic<bool> healed_{false};
+        bool healed_ = false;
     };
 
-    // Entry 25 sits in the second half of [0,40): with 2 shards, shard 0
-    // completes and shard 1 aborts at its cursor.
-    HealableSource source(inner, 25);
-    core::ManualClock clock;
-    core::ParallelPipeline first(source, deterministic_options(clock), {.jobs = 2});
-    EXPECT_FALSE(first.stats().completed);
-    EXPECT_EQ(first.stats().abort_error.code, "source_closed");
-    ASSERT_EQ(first.shard_checkpoints().size(), 2u);
-    EXPECT_TRUE(first.shard_checkpoints()[0].completed);
-    EXPECT_FALSE(first.shard_checkpoints()[1].completed);
-    EXPECT_EQ(first.shard_checkpoints()[1].next_index, 25u);
-    EXPECT_EQ(first.stats().processed, 25u);  // 20 from shard 0, 5 from shard 1
+    // The serial ladder's fingerprint of the aborted pass: everything
+    // before entry 25, then one fetch record at 25, the cursor held there.
+    HealableSource serial_log(inner, 25);
+    core::ManualClock serial_clock;
+    core::LogCertSource serial_source(serial_log, 0, 40);
+    core::CompliancePipeline serial(serial_source, deterministic_options(serial_clock));
+    ASSERT_FALSE(serial.stats().completed);
+    ASSERT_EQ(serial.stats().processed, 25u);
+    ASSERT_EQ(serial_source.next_index(), 25u);
+    const std::string expected = full_fingerprint(serial);
 
-    // Resume after the fault clears: only the remaining entries run.
-    source.heal();
-    core::ManualClock resume_clock;
-    core::ParallelPipeline resumed(source, first.shard_checkpoints(),
-                                   deterministic_options(resume_clock), {.jobs = 2});
-    EXPECT_TRUE(resumed.stats().completed);
-    EXPECT_EQ(resumed.stats().processed, 15u);  // 25..40, nothing re-fetched
-    for (const ctlog::ShardCheckpoint& cp : resumed.shard_checkpoints()) {
-        EXPECT_TRUE(cp.completed);
+    // Every job count stops at the same entry with the same records.
+    for (size_t jobs : kJobSweep) {
+        HealableSource healable(inner, 25);
+        core::ManualClock clock;
+        core::LogCertSource source(healable, 0, 40);
+        core::ParallelPipeline first(source, deterministic_options(clock), {.jobs = jobs});
+        EXPECT_EQ(full_fingerprint(first), expected) << "jobs=" << jobs;
+        EXPECT_FALSE(first.stats().completed);
+        EXPECT_EQ(first.stats().abort_error.code, "source_closed");
+        EXPECT_EQ(first.stats().processed, 25u) << "jobs=" << jobs;
+        const auto& records = first.quarantine_report().records;
+        ASSERT_EQ(records.size(), 1u) << "jobs=" << jobs;
+        EXPECT_EQ(records[0].stage, core::QuarantineStage::kFetch);
+        EXPECT_EQ(records[0].entry_index, 25u) << "jobs=" << jobs;
+        EXPECT_EQ(source.next_index(), 25u) << "jobs=" << jobs;
+
+        // Resume at the cursor after the fault clears: only the
+        // remaining entries run, nothing is re-fetched.
+        healable.heal();
+        core::ManualClock resume_clock;
+        core::LogCertSource rest(healable, source.next_index(), 40);
+        core::ParallelPipeline resumed(rest, deterministic_options(resume_clock), {.jobs = jobs});
+        EXPECT_TRUE(resumed.stats().completed);
+        EXPECT_EQ(resumed.stats().processed, 15u) << "jobs=" << jobs;
+        EXPECT_EQ(rest.next_index(), 40u);
     }
-
-    // Both passes together cover the log exactly once.
-    EXPECT_EQ(first.stats().processed + resumed.stats().processed, 40u);
-}
-
-TEST(ParallelLogParity, HeadFetchFailureAbortsCleanly) {
-    class DeadHeadSource final : public ctlog::LogSource {
-    public:
-        std::string name() const override { return "dead-head"; }
-        Expected<ctlog::SignedTreeHead> latest_tree_head() override {
-            return Error{"source_closed", "no head"};
-        }
-        Expected<ctlog::RawLogEntry> entry_at(size_t) override {
-            return Error{"source_closed", "no entries"};
-        }
-        Expected<crypto::Digest> root_at(size_t) override {
-            return Error{"source_closed", "no roots"};
-        }
-    };
-    DeadHeadSource dead;
-    core::ManualClock clock;
-    core::ParallelPipeline parallel(dead, deterministic_options(clock), {.jobs = 4});
-    EXPECT_FALSE(parallel.stats().completed);
-    EXPECT_EQ(parallel.stats().abort_error.code, "source_closed");
-    ASSERT_EQ(parallel.quarantine_report().records.size(), 1u);
-    EXPECT_EQ(parallel.quarantine_report().records[0].stage, core::QuarantineStage::kFetch);
-    EXPECT_TRUE(parallel.shard_checkpoints().empty());
 }
 
 }  // namespace

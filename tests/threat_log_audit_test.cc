@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "asn1/time.h"
+#include "common/json_escape.h"
 #include "core/json.h"
 #include "threat/log_audit.h"
 #include "x509/builder.h"
@@ -78,10 +79,10 @@ TEST(Scenario, NaiveCorruptedHardenedClean) {
 // ---- JSON emitter ------------------------------------------------------------
 
 TEST(Json, Escaping) {
-    EXPECT_EQ(core::json_escape("plain"), "plain");
-    EXPECT_EQ(core::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-    EXPECT_EQ(core::json_escape(std::string("nl\n nul\0", 8)), "nl\\n nul\\u0000");
-    EXPECT_EQ(core::json_escape("tëst"), "tëst");  // UTF-8 untouched
+    EXPECT_EQ(json_escape("plain"), "plain");
+    EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(json_escape(std::string("nl\n nul\0", 8)), "nl\\n nul\\u0000");
+    EXPECT_EQ(json_escape("tëst"), "tëst");  // UTF-8 untouched
 }
 
 TEST(Json, LintReportShape) {

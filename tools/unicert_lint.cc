@@ -31,6 +31,7 @@
 
 #include "core/fs.h"
 #include "core/json.h"
+#include "core/log_ingest.h"
 #include "core/parallel_pipeline.h"
 #include "core/pipeline.h"
 #include "core/report.h"
@@ -168,6 +169,7 @@ int main(int argc, char** argv) {
 
     std::vector<Bytes> ders;
     core::MappedPtr mapped;  // backs the zero-copy views for the whole run
+    std::unique_ptr<ctlog::store::Store> store;  // backs the store log for the whole run
     if (!der_file.empty()) {
         if (!store_dir.empty() || !files.empty()) {
             std::fprintf(stderr,
@@ -192,16 +194,14 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "--store and PEM file arguments are mutually exclusive\n");
             return 64;
         }
-        auto store = ctlog::store::Store::open(core::real_fs(), store_dir);
-        if (!store.ok()) {
+        auto opened = ctlog::store::Store::open(core::real_fs(), store_dir);
+        if (!opened.ok()) {
             std::fprintf(stderr, "cannot open store %s: %s\n", store_dir.c_str(),
-                         store.error().message.c_str());
+                         opened.error().message.c_str());
             return 66;
         }
-        for (const ctlog::store::StoredEntry& entry : (*store)->entries()) {
-            ders.push_back(entry.leaf_der);
-        }
-        if (ders.empty()) {
+        store = std::move(opened).value();
+        if (store->size() == 0) {
             std::fprintf(stderr, "store %s holds no entries\n", store_dir.c_str());
             return 0;
         }
@@ -249,9 +249,13 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "linted %zu/%zu certificates...\n", processed, size_hint);
         };
     }
+    std::optional<ctlog::store::StoreLogSource> store_log;
     std::unique_ptr<core::CertSource> source;
     if (mapped != nullptr) {
         source = std::make_unique<core::DerFileCertSource>(mapped->view());
+    } else if (store != nullptr) {
+        store_log.emplace(*store);
+        source = std::make_unique<core::LogCertSource>(*store_log, 0, store->size());
     } else {
         source = std::make_unique<DerListSource>(ders);
     }
@@ -268,7 +272,7 @@ int main(int argc, char** argv) {
     const size_t total_entries =
         mapped != nullptr
             ? pipeline.analyzed().size() + pipeline.quarantine_report().records.size()
-            : ders.size();
+            : (store != nullptr ? store->size() : ders.size());
     bool any_error = false, any_warning = false;
     size_t next_analyzed = 0;
     for (size_t index = 0; index < total_entries; ++index) {
