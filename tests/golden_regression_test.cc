@@ -3,7 +3,8 @@
 // over the reference corpus (seed 42, scale 1000 — the same corpus the
 // benchmarks use). Any change to corpus generation, the lint registry,
 // aggregation or JSON emission shows up here as a readable diff instead
-// of a silent drift. The Section 6 verdicts are pinned twice: Table 6's
+// of a silent drift. Every lint finding over three certificate sets is
+// pinned line by line. The Section 6 verdicts are pinned twice: Table 6's
 // monitor columns under scenario traffic, and every fleet column plus
 // every one-shot runner row. The two checkpoint formats (`unicert-campaign-v1`,
 // `unicert-scenario-v1`) are pinned the same way, byte for byte, so an
@@ -24,14 +25,19 @@
 #include "core/json.h"
 #include "core/parallel_pipeline.h"
 #include "core/pipeline.h"
+#include "crypto/simsig.h"
 #include "ctlog/corpus.h"
 #include "ctlog/monitor.h"
 #include "difffuzz/campaign/state.h"
+#include "faultsim/der_mutator.h"
+#include "lint/lint.h"
 #include "threat/browser.h"
 #include "threat/middlebox.h"
 #include "threat/scenario/fleet.h"
 #include "threat/scenario/state.h"
 #include "threat/scenarios.h"
+#include "x509/builder.h"
+#include "x509/lazy.h"
 
 namespace unicert {
 namespace {
@@ -248,6 +254,56 @@ TEST(GoldenSec6, FleetColumnsAndOneShotRunners) {
     std::string text = out.str();
     text.pop_back();  // expect_golden appends the trailing newline
     expect_golden("sec6_verdicts.txt", text);
+}
+
+// Every finding the full registry reports, one line per finding as
+// `<set>#<index> <rule name> <detail>`, over three sets: the signed
+// seed-7 corpus at scale 4000, linted from DER like the census; the
+// defect showcase, two certificates per defect kind, signed by
+// "Showcase CA"; and four DerMutator mutants of each showcase
+// certificate, numbered showcase index * 4 + k, of which those that
+// still parse are linted. Pins every rule's verdict and detail string.
+TEST(GoldenLint, EveryFindingOverCorpusShowcaseAndMutants) {
+    std::ostringstream out;
+    size_t linted = 0;
+    auto lint_der = [&](const char* set, size_t index, BytesView der) {
+        auto lazy = x509::LazyCertificate::index(der);
+        if (!lazy.ok()) return;
+        ++linted;
+        for (const lint::Finding& f : lint::run_lints(*lazy).findings) {
+            out << set << "#" << index << " " << f.lint->name << " " << escaped(f.detail)
+                << "\n";
+        }
+    };
+
+    ctlog::CorpusGenerator corpus_gen(
+        {.seed = 7, .scale = 4000.0, .sign_certificates = true});
+    std::vector<ctlog::CorpusCert> corpus = corpus_gen.generate();
+    for (size_t i = 0; i < corpus.size(); ++i) lint_der("corpus", i, corpus[i].cert.der);
+
+    ctlog::CorpusGenerator showcase_gen({.seed = 7});
+    std::vector<ctlog::CorpusCert> showcase = showcase_gen.generate_defect_showcase(2);
+    crypto::SimSigner signer = crypto::SimSigner::from_name("Showcase CA");
+    std::vector<Bytes> showcase_ders;
+    for (size_t i = 0; i < showcase.size(); ++i) {
+        showcase_ders.push_back(x509::sign_certificate(showcase[i].cert, signer));
+        lint_der("showcase", i, showcase_ders.back());
+    }
+
+    faultsim::DerMutator mutator(7);
+    for (size_t i = 0; i < showcase_ders.size(); ++i) {
+        for (size_t k = 0; k < 4; ++k) {
+            const size_t index = i * 4 + k;
+            lint_der("mutant", index, mutator.mutate(showcase_ders[i], index));
+        }
+    }
+
+    std::string text = "# corpus " + std::to_string(corpus.size()) + ", showcase " +
+                       std::to_string(showcase.size()) + ", mutants " +
+                       std::to_string(showcase.size() * 4) + "; linted " +
+                       std::to_string(linted) + "\n" + out.str();
+    text.pop_back();  // expect_golden appends the trailing newline
+    expect_golden("lint_findings.txt", text);
 }
 
 // The checkpoint formats, each written by serialize_state of a fixed
