@@ -12,11 +12,23 @@
 // Rules must not capture the underlying Certificate: everything a rule
 // reads goes through an accessor here, which is what makes footprint
 // verification sound.
+//
+// Facts that several rules share (the SAN, the DNSName candidates with
+// their labels and A-label checks, the decoded Subject values) are
+// derived on first use and memoized on the view. Each accessor notes
+// the fields it derives from on every call, memo hits included, so a
+// rule's trace does not depend on which rule ran first. The memo lives
+// as long as the view: run_lints builds one view per certificate, and
+// nothing is cached across certificates or threads.
 #pragma once
 
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "idna/labels.h"
+#include "unicode/codepoint.h"
 #include "x509/certificate.h"
 #include "x509/field.h"
 
@@ -42,10 +54,41 @@ struct AccessTrace {
     void merge(const AccessTrace& other);
 };
 
+// Does a CN value look like it is meant to be a hostname (a dot, no
+// spaces, no '@', no "://", at most 253 bytes)?
+bool looks_like_hostname(std::string_view value);
+
+// One label of a DNSName candidate, split on '.'.
+struct DnsLabel {
+    std::string_view text;  // view into DnsName::value
+    // IDNA check of the label; set exactly when
+    // idna::looks_like_a_label(text).
+    std::optional<idna::LabelCheck> idn;
+};
+
+// One DNSName candidate, as the paper treats "DNSName-related fields":
+// a SAN dNSName, or a Subject CN that looks like a hostname.
+struct DnsName {
+    std::string value;             // lossy UTF-8 of the raw bytes
+    BytesView raw;                 // raw value bytes as encoded
+    bool from_san = false;         // false -> from a Subject CN
+    std::vector<DnsLabel> labels;  // every '.'-separated label, empty ones included
+};
+
+// One Subject attribute with its value decoded per its declared type.
+struct SubjectValue {
+    const x509::AttributeValue* attribute = nullptr;
+    std::optional<unicode::CodePoints> code_points;  // nullopt when undecodable
+};
+
 class CertView {
 public:
     explicit CertView(const x509::Certificate& cert, AccessTrace* trace = nullptr) noexcept
         : cert_(&cert), trace_(trace) {}
+
+    // Memoized facts hold views into each other; a view stays in place.
+    CertView(const CertView&) = delete;
+    CertView& operator=(const CertView&) = delete;
 
     // ---- Top-level TBS fields -----------------------------------------
 
@@ -108,6 +151,17 @@ public:
     }
     bool is_precertificate() const;
 
+    // ---- Derived facts, memoized --------------------------------------
+
+    // Every DNSName candidate: the SAN dNSNames, then the Subject CNs
+    // that pass looks_like_hostname, each split into labels with every
+    // A-label checked once. Reads the Subject and the SAN extension.
+    const std::vector<DnsName>& dns_names() const;
+
+    // Every Subject attribute in DN order, decoded once. Reads the
+    // Subject.
+    const std::vector<SubjectValue>& subject_values() const;
+
     // Whole-certificate escape hatch (DER, fingerprint, cross-field
     // logic). Footprint must declare CertField::kWholeCert.
     const x509::Certificate& whole_cert() const {
@@ -122,10 +176,13 @@ private:
     void note_extension(const asn1::Oid& oid) const {
         if (trace_ != nullptr) trace_->note_extension(oid);
     }
+    const x509::GeneralNames& san() const;
 
     const x509::Certificate* cert_;
     AccessTrace* trace_;
     mutable std::optional<x509::GeneralNames> san_;
+    mutable std::optional<std::vector<DnsName>> dns_names_;
+    mutable std::optional<std::vector<SubjectValue>> subject_values_;
 };
 
 }  // namespace unicert::lint

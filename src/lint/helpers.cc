@@ -1,9 +1,5 @@
 #include "lint/helpers.h"
 
-#include <algorithm>
-
-#include "unicode/properties.h"
-
 namespace unicert::lint {
 
 void for_each_attribute(const x509::DistinguishedName& dn,
@@ -11,18 +7,6 @@ void for_each_attribute(const x509::DistinguishedName& dn,
     for (const x509::Rdn& rdn : dn.rdns) {
         for (const x509::AttributeValue& av : rdn.attributes) fn(av);
     }
-}
-
-std::optional<unicode::CodePoints> decode_attribute(const x509::AttributeValue& av) {
-    auto decoded = av.decode();
-    if (!decoded.ok()) return std::nullopt;
-    return std::move(decoded).value();
-}
-
-std::optional<std::string> subject_attribute_utf8(const CertView& cert, const asn1::Oid& type) {
-    const x509::AttributeValue* av = cert.subject().find_first(type);
-    if (av == nullptr) return std::nullopt;
-    return av->to_utf8_lossy();
 }
 
 int64_t source_publication_date(Source s) noexcept {
@@ -41,33 +25,13 @@ int64_t source_publication_date(Source s) noexcept {
     return dates::kAlways;
 }
 
-bool looks_like_hostname(std::string_view value) {
-    if (value.empty() || value.size() > 253) return false;
-    if (value.find('.') == std::string_view::npos) return false;
-    if (value.find(' ') != std::string_view::npos) return false;
-    if (value.find('@') != std::string_view::npos) return false;
-    if (value.find("://") != std::string_view::npos) return false;
-    return true;
-}
-
-std::vector<DnsNameRef> dns_name_candidates(const CertView& cert) {
-    std::vector<DnsNameRef> out;
-    for (const x509::GeneralName& gn : cert.subject_alt_names()) {
-        if (gn.type == x509::GeneralNameType::kDnsName) {
-            out.push_back({gn.to_utf8_lossy(), gn.value_bytes, /*from_san=*/true});
+const DnsLabel* find_idn_issue(const CertView& cert, idna::LabelIssue issue) {
+    for (const DnsName& name : cert.dns_names()) {
+        for (const DnsLabel& label : name.labels) {
+            if (label.idn && label.idn->issue == issue) return &label;
         }
     }
-    for (const x509::AttributeValue* cn : cert.subject_common_names()) {
-        std::string value = cn->to_utf8_lossy();
-        if (looks_like_hostname(value)) {
-            out.push_back({std::move(value), cn->value_bytes, /*from_san=*/false});
-        }
-    }
-    return out;
-}
-
-bool all_printable_ascii(const unicode::CodePoints& cps) {
-    return std::all_of(cps.begin(), cps.end(), unicode::is_printable_ascii);
+    return nullptr;
 }
 
 std::optional<std::string> check_printable_or_utf8(const x509::AttributeValue& av) {

@@ -1,8 +1,9 @@
 // unicert/lint/helpers.h
 //
 // Shared utilities for lint rule implementations: attribute iteration,
-// per-type decoding, DNSName extraction, and the effective-date
-// constants of the standards each rule family derives from.
+// DNSName label lookups over the CertView facts, string-type checks,
+// and the effective-date constants of the standards each rule family
+// derives from.
 #pragma once
 
 #include <functional>
@@ -13,7 +14,6 @@
 #include "asn1/time.h"
 #include "lint/cert_view.h"
 #include "lint/lint.h"
-#include "unicode/codec.h"
 #include "x509/certificate.h"
 
 namespace unicert::lint {
@@ -48,34 +48,13 @@ int64_t source_publication_date(Source s) noexcept;
 void for_each_attribute(const x509::DistinguishedName& dn,
                         const std::function<void(const x509::AttributeValue&)>& fn);
 
-// Decoded code points of an attribute value per its *declared* type,
-// or nullopt when the bytes are undecodable (that itself is a finding
-// for other rules).
-std::optional<unicode::CodePoints> decode_attribute(const x509::AttributeValue& av);
+// ---- DNSName facts ----------------------------------------------------------
 
-// First attribute of `type` in the subject, decoded lossily to UTF-8.
-std::optional<std::string> subject_attribute_utf8(const CertView& cert, const asn1::Oid& type);
-
-// ---- DNSName extraction -----------------------------------------------------
-
-struct DnsNameRef {
-    std::string value;       // lossy UTF-8 of the raw bytes
-    Bytes raw;               // raw value bytes as encoded
-    bool from_san = false;   // false -> from Subject CN
-};
-
-// All DNSName candidates: SAN dNSName entries plus Subject CNs that
-// look like hostnames (contain a dot, no spaces) — matching how the
-// paper treats "DNSName-related fields".
-std::vector<DnsNameRef> dns_name_candidates(const CertView& cert);
-
-// Does a CN value look like it is meant to be a hostname?
-bool looks_like_hostname(std::string_view value);
+// The first label among the view's DNSName candidates whose IDNA check
+// reports `issue`, or nullptr.
+const DnsLabel* find_idn_issue(const CertView& cert, idna::LabelIssue issue);
 
 // ---- Predicate helpers ------------------------------------------------------
-
-// True if every code point is printable ASCII.
-bool all_printable_ascii(const unicode::CodePoints& cps);
 
 // The CABF DirectoryString rule: value must use PrintableString or
 // UTF8String. Returns the offending type name if violated.

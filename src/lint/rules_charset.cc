@@ -15,25 +15,21 @@ using x509::CertField;
 using x509::GeneralName;
 using x509::GeneralNameType;
 
-// Scan every subject attribute with a code-point predicate; report the
-// first hit.
+// Scan every decoded subject value with a code-point predicate; report
+// the first hit.
 std::optional<std::string> scan_subject(const CertView& cert,
                                         bool (*pred)(CodePoint),
                                         const char* what) {
-    std::optional<std::string> found;
-    for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-        if (found) return;
-        auto cps = decode_attribute(av);
-        if (!cps) return;
-        for (CodePoint cp : *cps) {
+    for (const SubjectValue& value : cert.subject_values()) {
+        if (!value.code_points) continue;
+        for (CodePoint cp : *value.code_points) {
             if (pred(cp)) {
-                found = asn1::attribute_short_name(av.type) + " contains " + what + " " +
-                        unicode::codepoint_label(cp);
-                return;
+                return asn1::attribute_short_name(value.attribute->type) + " contains " + what +
+                       " " + unicode::codepoint_label(cp);
             }
         }
-    });
-    return found;
+    }
+    return std::nullopt;
 }
 
 // Scan SAN GeneralNames of string kinds with a per-code-point predicate.
@@ -101,20 +97,19 @@ void register_charset_rules(Registry& reg) {
         Severity::kError, Source::kRfc5280, dates::kRfc5280, false,
         footprint({CertField::kSubject}, {}, {}, {asn1::StringType::kPrintableString}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found || av.string_type != asn1::StringType::kPrintableString) return;
-                auto cps = decode_attribute(av);
-                if (!cps) return;
-                for (CodePoint cp : *cps) {
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->string_type != asn1::StringType::kPrintableString ||
+                    !value.code_points) {
+                    continue;
+                }
+                for (CodePoint cp : *value.code_points) {
                     if (!asn1::in_standard_charset(asn1::StringType::kPrintableString, cp)) {
-                        found = asn1::attribute_short_name(av.type) +
-                                " PrintableString contains " + unicode::codepoint_label(cp);
-                        return;
+                        return asn1::attribute_short_name(value.attribute->type) +
+                               " PrintableString contains " + unicode::codepoint_label(cp);
                     }
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
 
     // 3/4. Leading / trailing whitespace in DN values (community lints;
@@ -125,16 +120,14 @@ void register_charset_rules(Registry& reg) {
         Severity::kWarning, Source::kCommunity, dates::kCommunity, false,
         footprint({CertField::kSubject}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found) return;
-                auto cps = decode_attribute(av);
-                if (!cps || cps->empty()) return;
-                if (unicode::is_space(cps->back())) {
-                    found = asn1::attribute_short_name(av.type) + " has trailing whitespace";
+            for (const SubjectValue& value : cert.subject_values()) {
+                const auto& cps = value.code_points;
+                if (cps && !cps->empty() && unicode::is_space(cps->back())) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " has trailing whitespace";
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
     reg.add(make(
         "w_community_subject_dn_leading_whitespace",
@@ -142,16 +135,14 @@ void register_charset_rules(Registry& reg) {
         Severity::kWarning, Source::kCommunity, dates::kCommunity, false,
         footprint({CertField::kSubject}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found) return;
-                auto cps = decode_attribute(av);
-                if (!cps || cps->empty()) return;
-                if (unicode::is_space(cps->front())) {
-                    found = asn1::attribute_short_name(av.type) + " has leading whitespace";
+            for (const SubjectValue& value : cert.subject_values()) {
+                const auto& cps = value.code_points;
+                if (cps && !cps->empty() && unicode::is_space(cps->front())) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " has leading whitespace";
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
 
     // 5. IDN A-label decodes to DISALLOWED code points (the paper's
@@ -163,22 +154,8 @@ void register_charset_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                size_t start = 0;
-                const std::string& host = dns.value;
-                while (start <= host.size()) {
-                    size_t dot = host.find('.', start);
-                    std::string label = host.substr(
-                        start, dot == std::string::npos ? std::string::npos : dot - start);
-                    if (idna::looks_like_a_label(label)) {
-                        idna::LabelCheck lc = idna::check_label(label);
-                        if (lc.issue == idna::LabelIssue::kDisallowedCodePoint) {
-                            return "label '" + label + "' decodes to a DISALLOWED code point";
-                        }
-                    }
-                    if (dot == std::string::npos) break;
-                    start = dot + 1;
-                }
+            if (const DnsLabel* label = find_idn_issue(cert, idna::LabelIssue::kDisallowedCodePoint)) {
+                return "label '" + std::string(label->text) + "' decodes to a DISALLOWED code point";
             }
             return std::nullopt;
         }));
@@ -191,22 +168,8 @@ void register_charset_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                size_t start = 0;
-                const std::string& host = dns.value;
-                while (start <= host.size()) {
-                    size_t dot = host.find('.', start);
-                    std::string label = host.substr(
-                        start, dot == std::string::npos ? std::string::npos : dot - start);
-                    if (idna::looks_like_a_label(label)) {
-                        idna::LabelCheck lc = idna::check_label(label);
-                        if (lc.issue == idna::LabelIssue::kUndecodablePunycode) {
-                            return "label '" + label + "' is not decodable Punycode";
-                        }
-                    }
-                    if (dot == std::string::npos) break;
-                    start = dot + 1;
-                }
+            if (const DnsLabel* label = find_idn_issue(cert, idna::LabelIssue::kUndecodablePunycode)) {
+                return "label '" + std::string(label->text) + "' is not decodable Punycode";
             }
             return std::nullopt;
         }));
@@ -219,24 +182,17 @@ void register_charset_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                if (!dns.from_san) continue;
-                size_t start = 0;
-                const std::string& host = dns.value;
-                while (start <= host.size()) {
-                    size_t dot = host.find('.', start);
-                    std::string label = host.substr(
-                        start, dot == std::string::npos ? std::string::npos : dot - start);
-                    if (!label.empty() && !(label == "*" && start == 0)) {
-                        for (char c : label) {
-                            unsigned char uc = static_cast<unsigned char>(c);
-                            if (uc < 0x80 && !unicode::is_ldh(uc)) {
-                                return "label '" + label + "' contains '" + c + "'";
-                            }
+            for (const DnsName& name : cert.dns_names()) {
+                if (!name.from_san) continue;
+                for (size_t i = 0; i < name.labels.size(); ++i) {
+                    std::string_view label = name.labels[i].text;
+                    if (i == 0 && label == "*") continue;
+                    for (char c : label) {
+                        unsigned char uc = static_cast<unsigned char>(c);
+                        if (uc < 0x80 && !unicode::is_ldh(uc)) {
+                            return "label '" + std::string(label) + "' contains '" + c + "'";
                         }
                     }
-                    if (dot == std::string::npos) break;
-                    start = dot + 1;
                 }
             }
             return std::nullopt;
@@ -318,10 +274,11 @@ void register_charset_rules(Registry& reg) {
         Severity::kError, Source::kRfc5280, dates::kRfc5280, false,
         footprint({CertField::kSubject}, {}, {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const AttributeValue* cn : cert.subject_common_names()) {
-                auto cps = decode_attribute(*cn);
-                if (!cps) continue;
-                for (CodePoint cp : *cps) {
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->type != asn1::oids::common_name() || !value.code_points) {
+                    continue;
+                }
+                for (CodePoint cp : *value.code_points) {
                     if (unicode::is_control(cp)) {
                         return "CN contains " + unicode::codepoint_label(cp);
                     }

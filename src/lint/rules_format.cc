@@ -8,8 +8,6 @@
 namespace unicert::lint {
 namespace {
 
-using unicode::CodePoints;
-using x509::AttributeValue;
 using x509::CertField;
 using x509::GeneralName;
 using x509::GeneralNameType;
@@ -32,38 +30,16 @@ Rule attr_max_length(std::string name, const asn1::Oid& oid, size_t max_chars) {
         Severity::kError, Source::kRfc5280, dates::kRfc5280,
         footprint({CertField::kSubject}, {}, {&oid}),
         [&oid, max_chars](const CertView& cert) -> std::optional<std::string> {
-            for (const AttributeValue* av : cert.subject().find_all(oid)) {
-                auto cps = decode_attribute(*av);
-                if (!cps) continue;
-                if (cps->size() > max_chars) {
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->type != oid || !value.code_points) continue;
+                if (value.code_points->size() > max_chars) {
                     return asn1::attribute_short_name(oid) + " has " +
-                           std::to_string(cps->size()) + " characters (max " +
+                           std::to_string(value.code_points->size()) + " characters (max " +
                            std::to_string(max_chars) + ")";
                 }
             }
             return std::nullopt;
         });
-}
-
-std::optional<std::string> for_each_dns_label(
-    const CertView& cert,
-    const std::function<std::optional<std::string>(const std::string&, size_t label_index)>&
-        check) {
-    for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-        size_t start = 0;
-        size_t index = 0;
-        const std::string& host = dns.value;
-        while (start <= host.size()) {
-            size_t dot = host.find('.', start);
-            std::string label =
-                host.substr(start, dot == std::string::npos ? std::string::npos : dot - start);
-            if (auto r = check(label, index)) return r;
-            ++index;
-            if (dot == std::string::npos) break;
-            start = dot + 1;
-        }
-    }
-    return std::nullopt;
 }
 
 // Footprint of every rule reading DNSName candidates (SAN + subject CN).
@@ -119,11 +95,12 @@ void register_format_rules(Registry& reg) {
         Severity::kError, Source::kRfc5280, dates::kRfc5280,
         footprint({CertField::kSubject}, {}, {&asn1::oids::country_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const AttributeValue* av : cert.subject().find_all(asn1::oids::country_name())) {
-                auto cps = decode_attribute(*av);
-                if (!cps) continue;
-                if (cps->size() != 2) {
-                    return "C has " + std::to_string(cps->size()) + " characters";
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->type != asn1::oids::country_name() || !value.code_points) {
+                    continue;
+                }
+                if (value.code_points->size() != 2) {
+                    return "C has " + std::to_string(value.code_points->size()) + " characters";
                 }
             }
             return std::nullopt;
@@ -136,10 +113,11 @@ void register_format_rules(Registry& reg) {
         Severity::kError, Source::kCabfBr, dates::kCabfBr,
         footprint({CertField::kSubject}, {}, {&asn1::oids::country_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const AttributeValue* av : cert.subject().find_all(asn1::oids::country_name())) {
-                auto cps = decode_attribute(*av);
-                if (!cps) continue;
-                for (unicode::CodePoint cp : *cps) {
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->type != asn1::oids::country_name() || !value.code_points) {
+                    continue;
+                }
+                for (unicode::CodePoint cp : *value.code_points) {
                     if (cp >= 'a' && cp <= 'z') return std::string("C contains lowercase");
                 }
             }
@@ -150,20 +128,23 @@ void register_format_rules(Registry& reg) {
     reg.add(make(
         "e_dns_label_too_long", "DNS labels are limited to 63 octets",
         Severity::kError, Source::kDnsRfc, dates::kAlways, dns_footprint(),
-        [](const CertView& cert) {
-            return for_each_dns_label(cert, [](const std::string& label, size_t)
-                                                -> std::optional<std::string> {
-                if (label.size() > 63) return "label of " + std::to_string(label.size()) + " octets";
-                return std::nullopt;
-            });
+        [](const CertView& cert) -> std::optional<std::string> {
+            for (const DnsName& name : cert.dns_names()) {
+                for (const DnsLabel& label : name.labels) {
+                    if (label.text.size() > 63) {
+                        return "label of " + std::to_string(label.text.size()) + " octets";
+                    }
+                }
+            }
+            return std::nullopt;
         }));
     reg.add(make(
         "e_dns_name_too_long", "DNS names are limited to 253 octets",
         Severity::kError, Source::kDnsRfc, dates::kAlways, dns_footprint(),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                if (dns.value.size() > 253) {
-                    return "name of " + std::to_string(dns.value.size()) + " octets";
+            for (const DnsName& name : cert.dns_names()) {
+                if (name.value.size() > 253) {
+                    return "name of " + std::to_string(name.value.size()) + " octets";
                 }
             }
             return std::nullopt;
@@ -172,10 +153,10 @@ void register_format_rules(Registry& reg) {
         "e_dns_label_empty", "DNS names must not contain empty labels",
         Severity::kError, Source::kDnsRfc, dates::kAlways, dns_footprint(),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                if (dns.value.empty()) return std::string("empty DNSName");
-                if (dns.value.find("..") != std::string::npos || dns.value.front() == '.') {
-                    return "empty label in '" + dns.value + "'";
+            for (const DnsName& name : cert.dns_names()) {
+                if (name.value.empty()) return std::string("empty DNSName");
+                if (name.value.find("..") != std::string::npos || name.value.front() == '.') {
+                    return "empty label in '" + name.value + "'";
                 }
             }
             return std::nullopt;
@@ -184,14 +165,16 @@ void register_format_rules(Registry& reg) {
         "e_dns_wildcard_not_leftmost",
         "wildcards are only permitted as the complete leftmost label",
         Severity::kError, Source::kCabfBr, dates::kCabfBr, dns_footprint(),
-        [](const CertView& cert) {
-            return for_each_dns_label(cert, [](const std::string& label, size_t index)
-                                                -> std::optional<std::string> {
-                if (label.find('*') != std::string::npos && (index != 0 || label != "*")) {
-                    return "wildcard inside label '" + label + "'";
+        [](const CertView& cert) -> std::optional<std::string> {
+            for (const DnsName& name : cert.dns_names()) {
+                for (size_t i = 0; i < name.labels.size(); ++i) {
+                    std::string_view label = name.labels[i].text;
+                    if (label.find('*') != std::string_view::npos && (i != 0 || label != "*")) {
+                        return "wildcard inside label '" + std::string(label) + "'";
+                    }
                 }
-                return std::nullopt;
-            });
+            }
+            return std::nullopt;
         }));
 
     // 13/14. Serial number bounds (RFC 5280 sec. 4.1.2.2).

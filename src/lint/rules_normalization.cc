@@ -9,8 +9,6 @@
 namespace unicert::lint {
 namespace {
 
-using unicode::CodePoints;
-using x509::AttributeValue;
 using x509::CertField;
 
 Rule make(std::string name, std::string description, Severity severity, Source source,
@@ -37,22 +35,8 @@ void register_normalization_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            for (const DnsNameRef& dns : dns_name_candidates(cert)) {
-                size_t start = 0;
-                const std::string& host = dns.value;
-                while (start <= host.size()) {
-                    size_t dot = host.find('.', start);
-                    std::string label = host.substr(
-                        start, dot == std::string::npos ? std::string::npos : dot - start);
-                    if (idna::looks_like_a_label(label)) {
-                        idna::LabelCheck lc = idna::check_label(label);
-                        if (lc.issue == idna::LabelIssue::kNotNfc) {
-                            return "label '" + label + "' decodes to non-NFC Unicode";
-                        }
-                    }
-                    if (dot == std::string::npos) break;
-                    start = dot + 1;
-                }
+            if (const DnsLabel* label = find_idn_issue(cert, idna::LabelIssue::kNotNfc)) {
+                return "label '" + std::string(label->text) + "' decodes to non-NFC Unicode";
             }
             return std::nullopt;
         }));
@@ -66,16 +50,17 @@ void register_normalization_rules(Registry& reg) {
         Severity::kError, Source::kRfc5280, dates::kRfc5280, true,
         footprint({CertField::kSubject}, {}, {}, {asn1::StringType::kUtf8String}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found || av.string_type != asn1::StringType::kUtf8String) return;
-                auto cps = decode_attribute(av);
-                if (!cps) return;
-                if (!unicode::is_nfc(*cps)) {
-                    found = asn1::attribute_short_name(av.type) + " value is not in NFC";
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->string_type != asn1::StringType::kUtf8String ||
+                    !value.code_points) {
+                    continue;
                 }
-            });
-            return found;
+                if (!unicode::is_nfc(*value.code_points)) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " value is not in NFC";
+                }
+            }
+            return std::nullopt;
         }));
 
     // 3. SmtpUTF8Mailbox local parts must be NFC (RFC 9598).
@@ -107,18 +92,15 @@ void register_normalization_rules(Registry& reg) {
         Severity::kWarning, Source::kRfc5280, dates::kRfc5280, false,
         footprint({CertField::kSubject}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found) return;
-                auto cps = decode_attribute(av);
-                if (!cps || cps->empty()) return;
-                if (unicode::combining_class(cps->front()) != 0) {
-                    found = asn1::attribute_short_name(av.type) +
-                            " starts with combining mark " +
-                            unicode::codepoint_label(cps->front());
+            for (const SubjectValue& value : cert.subject_values()) {
+                const auto& cps = value.code_points;
+                if (cps && !cps->empty() && unicode::combining_class(cps->front()) != 0) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " starts with combining mark " +
+                           unicode::codepoint_label(cps->front());
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
 }
 

@@ -1,5 +1,7 @@
 // T3 "Invalid Structure" (2 lints) and "Discouraged Field" (2 lints)
 // rules (Section 4.3.1).
+#include <algorithm>
+
 #include "lint/helpers.h"
 #include "lint/rules.h"
 
@@ -36,20 +38,13 @@ void register_structure_rules(Registry& reg) {
         Severity::kError, NcType::kInvalidStructure, Source::kCabfBr, dates::kCabfBr,
         footprint({CertField::kSubject}, {&oids::subject_alt_name()}, {&oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            auto cns = cert.subject_common_names();
-            if (cns.empty()) return std::nullopt;
-            const x509::GeneralNames& sans = cert.subject_alt_names();
-            for (const AttributeValue* cn : cns) {
-                std::string value = cn->to_utf8_lossy();
-                if (!looks_like_hostname(value)) continue;
-                bool found = false;
-                for (const GeneralName& gn : sans) {
-                    if (gn.type == GeneralNameType::kDnsName && gn.to_utf8_lossy() == value) {
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found) return "CN '" + value + "' not present in SAN";
+            const std::vector<DnsName>& names = cert.dns_names();
+            for (const DnsName& cn : names) {
+                if (cn.from_san) continue;
+                bool found = std::any_of(names.begin(), names.end(), [&](const DnsName& san) {
+                    return san.from_san && san.value == cn.value;
+                });
+                if (!found) return "CN '" + cn.value + "' not present in SAN";
             }
             return std::nullopt;
         }));
@@ -98,7 +93,11 @@ void register_discouraged_rules(Registry& reg) {
         Severity::kWarning, NcType::kDiscouragedField, Source::kCabfBr, dates::kCabfBr,
         footprint({CertField::kSubject}, {}, {&oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            size_t n = cert.subject_common_names().size();
+            const std::vector<SubjectValue>& values = cert.subject_values();
+            size_t n = static_cast<size_t>(
+                std::count_if(values.begin(), values.end(), [](const SubjectValue& v) {
+                    return v.attribute->type == asn1::oids::common_name();
+                }));
             if (n > 1) return std::to_string(n) + " CommonName attributes present";
             return std::nullopt;
         }));

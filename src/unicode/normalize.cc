@@ -139,6 +139,31 @@ constexpr std::array kDecomp = {
     Decomp{0x045D, 0x0438, 0x0300}, Decomp{0x045E, 0x0443, 0x0306},
 };
 
+constexpr bool pair_less(const Decomp& a, const Decomp& b) {
+    return a.first != b.first ? a.first < b.first : a.second < b.second;
+}
+
+// kDecomp ordered by (first, second): compose_pair's search index.
+constexpr auto kComposeIndex = [] {
+    std::array<Decomp, kDecomp.size()> index = kDecomp;
+    std::sort(index.begin(), index.end(), pair_less);
+    return index;
+}();
+
+// With no two entries sharing a pair, the search finds the one entry a
+// scan of kDecomp would.
+static_assert(std::adjacent_find(kComposeIndex.begin(), kComposeIndex.end(),
+                                 [](const Decomp& a, const Decomp& b) {
+                                     return !pair_less(a, b);
+                                 }) == kComposeIndex.end(),
+              "kDecomp has a duplicate (first, second) pair");
+
+// Every second element is a combining mark at or above U+0300, which
+// is what makes is_nfc's quick check exact (see there).
+static_assert(std::all_of(kDecomp.begin(), kDecomp.end(),
+                          [](const Decomp& d) { return d.second >= 0x0300; }),
+              "kDecomp has a pair whose second element is below U+0300");
+
 const Decomp* find_decomp(CodePoint cp) {
     auto it = std::lower_bound(kDecomp.begin(), kDecomp.end(), cp,
                                [](const Decomp& d, CodePoint v) { return d.cp < v; });
@@ -209,10 +234,11 @@ CodePoint compose_pair(CodePoint starter, CodePoint combining) noexcept {
         combining > kTBase && combining < kTBase + kTCount) {
         return starter + (combining - kTBase);
     }
-    // Reverse lookup over the decomposition table. Only pair
-    // decompositions whose first element is a full composite target.
-    for (const Decomp& d : kDecomp) {
-        if (d.second == combining && d.first == starter) return d.cp;
+    // Reverse lookup over the decomposition table's pairs.
+    const Decomp key{0, starter, combining};
+    auto it = std::lower_bound(kComposeIndex.begin(), kComposeIndex.end(), key, pair_less);
+    if (it != kComposeIndex.end() && it->first == starter && it->second == combining) {
+        return it->cp;
     }
     return 0;
 }
@@ -264,6 +290,15 @@ CodePoints nfc(const CodePoints& in) {
     return out;
 }
 
-bool is_nfc(const CodePoints& in) { return nfc(in) == in; }
+bool is_nfc(const CodePoints& in) {
+    // Quick check: every code point below U+0300 has ccc 0, and no
+    // table pair has a second element below U+0300, so in such a
+    // string nothing reorders and every decomposed pair composes back
+    // to where it came from.
+    if (std::all_of(in.begin(), in.end(), [](CodePoint cp) { return cp < 0x0300; })) {
+        return true;
+    }
+    return nfc(in) == in;
+}
 
 }  // namespace unicert::unicode

@@ -34,7 +34,8 @@ CodePoints nfd(const CodePoints& in);
 // Normalization Form C: nfd() + canonical composition.
 CodePoints nfc(const CodePoints& in);
 
-// True when `in` is already in NFC (i.e. nfc(in) == in).
+// True when `in` is already in NFC (i.e. nfc(in) == in). A string
+// wholly below U+0300 answers without normalizing.
 bool is_nfc(const CodePoints& in);
 
 }  // namespace unicert::unicode

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "asn1/time.h"
+#include "idna/labels.h"
 #include "lint/analysis/analyzer.h"
 #include "lint/helpers.h"
 #include "lint/lint.h"
@@ -99,6 +100,87 @@ TEST(TracingCertView, TypedLookupsNoteTheirSurface) {
     EXPECT_TRUE(view.trace().saw_field(x509::CertField::kSubject));
     (void)view.whole_cert();
     EXPECT_TRUE(view.trace().saw_field(x509::CertField::kWholeCert));
+}
+
+// A memoized fact must trace the same fields whether it is built or
+// served from the memo, or a rule's footprint check would depend on
+// which rule asked first.
+TEST(TracingCertView, MemoHitsNoteTheSameFieldsAsTheBuild) {
+    x509::Certificate cert = sample_cert();
+    TracingCertView view(cert);
+
+    const std::vector<DnsName>& names = view.dns_names();
+    const AccessTrace dns_build = view.trace();
+    EXPECT_TRUE(dns_build.saw_field(x509::CertField::kSubject));
+    EXPECT_TRUE(dns_build.saw_extension(oids::subject_alt_name()));
+    view.reset();
+    EXPECT_EQ(&view.dns_names(), &names);
+    EXPECT_EQ(view.trace().fields, dns_build.fields);
+    EXPECT_EQ(view.trace().extensions, dns_build.extensions);
+
+    view.reset();
+    const std::vector<SubjectValue>& values = view.subject_values();
+    const AccessTrace values_build = view.trace();
+    EXPECT_EQ(values_build.fields, x509::field_bit(x509::CertField::kSubject));
+    EXPECT_TRUE(values_build.extensions.empty());
+    view.reset();
+    EXPECT_EQ(&view.subject_values(), &values);
+    EXPECT_EQ(view.trace().fields, values_build.fields);
+    EXPECT_TRUE(view.trace().extensions.empty());
+}
+
+TEST(CertViewFacts, DnsNamesAreSanNamesThenHostnameCnsSplitIntoLabels) {
+    x509::Certificate cert = sample_cert();
+    cert.subject = x509::make_dn({
+        x509::make_attribute(oids::common_name(), "Not A Hostname"),
+        x509::make_attribute(oids::common_name(), "xn--nxasmq6b.example."),
+    });
+    cert.extensions = {x509::make_san({x509::dns_name("a..b"), x509::dns_name("*.example")})};
+    CertView view(cert);
+
+    const std::vector<DnsName>& names = view.dns_names();
+    ASSERT_EQ(names.size(), 3u);
+    EXPECT_EQ(names[0].value, "a..b");
+    EXPECT_TRUE(names[0].from_san);
+    ASSERT_EQ(names[0].labels.size(), 3u);
+    EXPECT_EQ(names[0].labels[1].text, "");
+    EXPECT_EQ(names[1].value, "*.example");
+    EXPECT_EQ(names[1].labels[0].text, "*");
+
+    const DnsName& cn = names[2];
+    EXPECT_FALSE(cn.from_san);
+    EXPECT_EQ(cn.value, "xn--nxasmq6b.example.");
+    EXPECT_EQ(cn.raw.data(), cert.subject.rdns[1].attributes[0].value_bytes.data());
+    ASSERT_EQ(cn.labels.size(), 3u);  // the trailing dot leaves an empty label
+    EXPECT_EQ(cn.labels[2].text, "");
+    // Only the A-label carries an IDNA check, run once at build time.
+    ASSERT_TRUE(cn.labels[0].idn.has_value());
+    EXPECT_EQ(cn.labels[0].idn->issue, idna::check_label("xn--nxasmq6b").issue);
+    EXPECT_FALSE(cn.labels[1].idn.has_value());
+    for (const DnsName& name : names) {
+        for (const DnsLabel& label : name.labels) {
+            EXPECT_GE(label.text.data(), name.value.data());
+            EXPECT_LE(label.text.data() + label.text.size(),
+                      name.value.data() + name.value.size());
+        }
+    }
+}
+
+TEST(CertViewFacts, SubjectValuesDecodeEveryAttributeInDnOrder) {
+    x509::Certificate cert = sample_cert();
+    cert.subject.rdns.push_back(
+        {{x509::AttributeValue{oids::organization_name(), asn1::StringType::kUtf8String,
+                               Bytes{'O', 0xC3}}}});
+    CertView view(cert);
+
+    const std::vector<SubjectValue>& values = view.subject_values();
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_EQ(values[0].attribute, &cert.subject.rdns[0].attributes[0]);
+    EXPECT_EQ(values[0].code_points, unicode::CodePoints({'U', 'S'}));
+    EXPECT_EQ(values[1].attribute->type, oids::common_name());
+    ASSERT_TRUE(values[1].code_points.has_value());
+    EXPECT_EQ(values[1].code_points->size(), std::string("analysis.example").size());
+    EXPECT_FALSE(values[2].code_points.has_value());  // ill-formed UTF-8
 }
 
 TEST(TracingCertView, ResetClearsTheTrace) {
