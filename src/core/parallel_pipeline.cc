@@ -97,6 +97,7 @@ ParallelPipeline::ParallelPipeline(CertSource& source, PipelineOptions options,
     // batches. Its own counts land after every batch.
     internal::StreamState fetched;
     std::optional<Error> abort_error;
+    size_t delivered_end = 0;  // one past the highest entry index delivered
     for (;;) {
         auto item = internal::fetch<std::optional<CertEntry>>(options, fetched,
                                                              [&] { return source.next(); });
@@ -106,6 +107,7 @@ ParallelPipeline::ParallelPipeline(CertSource& source, PipelineOptions options,
         }
         if (!item->has_value()) break;  // end of stream
         CertEntry& entry = **item;
+        delivered_end = std::max(delivered_end, entry.index + 1);
 
         if (!should_process(entry.index)) {
             ++fetched.stats.duplicates;
@@ -124,8 +126,8 @@ ParallelPipeline::ParallelPipeline(CertSource& source, PipelineOptions options,
 
     for (internal::StreamState& batch : batches) absorb(std::move(batch));
     // Like the serial ladder, the abort record follows everything
-    // delivered before it; its index is the unique-success count.
-    if (abort_error) fetched.abort(stats().processed, std::move(*abort_error));
+    // delivered before it and names the entry after the last of them.
+    if (abort_error) fetched.abort(delivered_end, std::move(*abort_error));
     absorb(std::move(fetched));
 }
 

@@ -236,14 +236,16 @@ void run_stream(CertSource& source, const PipelineOptions& options, ProgressCoun
                 StreamState& state) {
     state.analyzed.reserve(source.size_hint());
     std::unordered_set<size_t> processed_indices;
+    size_t delivered_end = 0;  // one past the highest entry index delivered
     for (;;) {
         auto item = fetch<std::optional<CertEntry>>(options, state, [&] { return source.next(); });
         if (!item.ok()) {
-            state.abort(processed_indices.size(), item.error());
+            state.abort(delivered_end, item.error());
             break;
         }
         if (!item->has_value()) break;  // end of stream
         const CertEntry& entry = **item;
+        delivered_end = std::max(delivered_end, entry.index + 1);
         if (processed_indices.contains(entry.index)) {
             // Redelivery of an already-aggregated entry (duplicate or
             // regressed stream view): suppress, never double-count.

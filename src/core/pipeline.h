@@ -263,7 +263,10 @@ struct StreamState {
     QuarantineReport quarantine;
 
     // Bottom of the ladder: the stream itself failed past the retry
-    // budget, so the run ends with its partial results kept.
+    // budget, so the run ends with its partial results kept. The fetch
+    // record names `entry_index`, one past the highest entry index
+    // delivered before the failure (0 if none): over a LogCertSource,
+    // its next_index().
     void abort(size_t entry_index, Error error);
 };
 

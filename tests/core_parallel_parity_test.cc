@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "asn1/der.h"
 #include "asn1/time.h"
 #include "core/log_ingest.h"
 #include "core/parallel_pipeline.h"
@@ -414,6 +415,46 @@ TEST(ParallelLogParity, AbortedShardResumesFromCheckpoint) {
         EXPECT_TRUE(resumed.stats().completed);
         EXPECT_EQ(resumed.stats().processed, 15u) << "jobs=" << jobs;
         EXPECT_EQ(rest.next_index(), 40u);
+    }
+}
+
+// ---- Abort record --------------------------------------------------------------
+
+// The abort record names the entry after the last one delivered, not
+// the count of analyzed entries: with entry 1 quarantined at parse, a
+// file whose fourth TLV claims 0x7fffffff bytes aborts at entry 3.
+TEST(ParallelAbortRecord, NamesTheEntryAfterTheLastDelivered) {
+    const Bytes good = make_leaf("abort.example").der;
+    auto outer = asn1::read_tlv(good);
+    ASSERT_TRUE(outer.ok());
+    Bytes bad_tbs = good;
+    bad_tbs[outer->header_len] = 0x04;  // the TBS SEQUENCE becomes an OCTET STRING
+    Bytes file = good;
+    file.insert(file.end(), bad_tbs.begin(), bad_tbs.end());
+    file.insert(file.end(), good.begin(), good.end());
+    file.insert(file.end(), {0x30, 0x84, 0x7F, 0xFF, 0xFF, 0xFF});
+
+    auto expect_records = [](const core::CompliancePipeline& pipeline, const std::string& run) {
+        EXPECT_FALSE(pipeline.stats().completed) << run;
+        EXPECT_EQ(pipeline.stats().processed, 2u) << run;
+        const auto& records = pipeline.quarantine_report().records;
+        ASSERT_EQ(records.size(), 2u) << run;
+        EXPECT_EQ(records[0].entry_index, 1u) << run;
+        EXPECT_EQ(records[0].stage, core::QuarantineStage::kParse) << run;
+        EXPECT_EQ(records[1].entry_index, 3u) << run;
+        EXPECT_EQ(records[1].stage, core::QuarantineStage::kFetch) << run;
+    };
+
+    core::ManualClock serial_clock;
+    core::DerFileCertSource serial_source(file);
+    core::CompliancePipeline serial(serial_source, deterministic_options(serial_clock));
+    expect_records(serial, "serial");
+    for (size_t jobs : {1, 2, 4}) {
+        core::ManualClock clock;
+        core::DerFileCertSource source(file);
+        core::ParallelPipeline parallel(source, deterministic_options(clock), {.jobs = jobs});
+        expect_records(parallel, "jobs=" + std::to_string(jobs));
+        EXPECT_EQ(full_fingerprint(parallel), full_fingerprint(serial)) << "jobs=" << jobs;
     }
 }
 
