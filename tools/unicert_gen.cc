@@ -6,6 +6,7 @@
 //   unicert_gen --corpus <count> [--seed N]
 //   unicert_gen --hosts FILE
 //   unicert_gen --list-defects
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,9 +45,7 @@ options:
 exit codes:
   0   success: certificate(s) emitted
   64  usage error (unknown flag, missing argument, bad number)
-  65  refused: the request is well-formed but cannot be satisfied — the
-      defect is too rare for the sampled stream (retry with --seed), or
-      the --hosts file contains no usable hostnames
+  65  refused: the --hosts file contains no usable hostnames
   66  --hosts file missing or unreadable
 )";
 
@@ -208,19 +207,17 @@ int main(int argc, char** argv) {
         return 64;
     }
 
-    // Use the corpus generator to produce one certificate with exactly
-    // this defect: scan a seeded stream for a matching injection.
-    ctlog::CorpusGenerator gen({.seed = seed, .scale = 40.0, .sign_certificates = true});
-    auto corpus = gen.generate();
-    for (const ctlog::CorpusCert& c : corpus) {
-        if (c.defect == spec->kind) {
-            std::fputs(x509::pem_encode("CERTIFICATE", c.cert.der).c_str(), stdout);
-            std::fprintf(stderr, "defect: %s (issuer %s, %d)\n", spec->expected_lint,
-                         c.issuer_org.c_str(), c.year);
-            return 0;
-        }
-    }
-    std::fprintf(stderr,
-                 "unicert_gen: defect too rare for the sampled stream; retry with --seed\n");
-    return 65;
+    // The defect showcase holds one certificate per defect kind, each
+    // carrying exactly that defect, drawn from the --seed stream.
+    ctlog::CorpusGenerator gen({.seed = seed});
+    std::vector<ctlog::CorpusCert> showcase = gen.generate_defect_showcase(1);
+    ctlog::CorpusCert& c = *std::find_if(showcase.begin(), showcase.end(),
+                                         [&](const ctlog::CorpusCert& cc) {
+                                             return cc.defect == spec->kind;
+                                         });
+    x509::sign_certificate(c.cert, crypto::SimSigner::from_name(c.issuer_org));
+    std::fputs(x509::pem_encode("CERTIFICATE", c.cert.der).c_str(), stdout);
+    std::fprintf(stderr, "defect: %s (issuer %s, %d)\n", spec->expected_lint,
+                 c.issuer_org.c_str(), c.year);
+    return 0;
 }
