@@ -112,9 +112,8 @@ Bytes encode_index(const IndexGeneration& generation) {
         }
     }
 
-    Bytes out;
+    Bytes out(kIndexMagic.begin(), kIndexMagic.end());
     out.reserve(kHeaderLen + payload.size() + 32);
-    out.insert(out.end(), kIndexMagic.begin(), kIndexMagic.end());
     put_u64be(out, generation.epoch);
     put_u64be(out, generation.basis_size);
     out.insert(out.end(), generation.basis_root.begin(), generation.basis_root.end());
