@@ -3,9 +3,12 @@
 // LazyCertificate index, and (c) the owning parse feeding the full /
 // a narrowed lint registry. The parity gate re-checks that every
 // cert's index()->materialize() equals parse_certificate, so a faster
-// index that changed a decoded field fails the run.
+// index that changed a decoded field fails the run. The allocation
+// gate holds the full registry's lint allocations per cert (the
+// full-registry phase minus the parse phase, deterministic for the
+// corpus) at or below kMaxLintAllocsPerCert.
 //
-// Emits BENCH_parse_zero_copy.json.
+// Emits BENCH_parse_zero_copy.json; exits 1 when either gate fails.
 #include "bench_common.h"
 
 #include <atomic>
@@ -76,6 +79,10 @@ Phase measure(const std::string& name, size_t certs, int repetitions, Fn&& fn) {
     return phase;
 }
 
+// Lint derives each certificate's shared facts once (DESIGN.md
+// section 9); re-deriving them per rule costs hundreds of allocations.
+constexpr double kMaxLintAllocsPerCert = 80.0;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,6 +151,9 @@ int main(int argc, char** argv) {
         }
     }
 
+    const double lint_allocs = phases[2].allocs_per_cert - phases[0].allocs_per_cert;
+    const bool lint_allocs_ok = lint_allocs <= kMaxLintAllocsPerCert;
+
     core::TextTable table({"Phase", "Certs/sec", "Allocs/cert", "Heap B/cert"});
     for (const Phase& p : phases) {
         char allocs[32], bytes[32];
@@ -156,6 +166,8 @@ int main(int argc, char** argv) {
     std::printf("\nparse speedup (index vs owned)        | %.2fx\n",
                 phases[0].seconds / phases[1].seconds);
     std::printf("parity                                | %s\n", parity ? "OK" : "DIVERGED");
+    std::printf("lint allocs/cert (full registry)      | %.1f (gate <= %.0f: %s)\n", lint_allocs,
+                kMaxLintAllocsPerCert, lint_allocs_ok ? "OK" : "OVER");
 
     std::FILE* f = std::fopen("BENCH_parse_zero_copy.json", "w");
     if (f != nullptr) {
@@ -172,6 +184,8 @@ int main(int argc, char** argv) {
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f, "  \"parse_speedup\": %.3f,\n", phases[0].seconds / phases[1].seconds);
+        std::fprintf(f, "  \"lint_allocs_per_cert\": %.2f,\n", lint_allocs);
+        std::fprintf(f, "  \"lint_allocs_ok\": %s,\n", lint_allocs_ok ? "true" : "false");
         std::fprintf(f, "  \"parity\": %s\n}\n", parity ? "true" : "false");
         std::fclose(f);
         std::printf("\nbaseline written to BENCH_parse_zero_copy.json\n");
@@ -179,6 +193,11 @@ int main(int argc, char** argv) {
 
     if (!parity) {
         std::printf("PARITY FAILURE: index+materialize diverged from the owning parse\n");
+        return 1;
+    }
+    if (!lint_allocs_ok) {
+        std::printf("ALLOCATION FAILURE: lint allocates %.1f times per cert (max %.0f)\n",
+                    lint_allocs, kMaxLintAllocsPerCert);
         return 1;
     }
     return 0;
