@@ -46,19 +46,8 @@ const std::vector<DnsName>& CertView::dns_names() const {
     note(x509::CertField::kSubject);
     if (dns_names_.has_value()) return *dns_names_;
 
-    const auto is_cn = [](const x509::AttributeValue& av) {
-        return av.type == asn1::oids::common_name();
-    };
-    size_t candidates = 0;
-    for (const x509::GeneralName& gn : san()) {
-        if (gn.type == x509::GeneralNameType::kDnsName) ++candidates;
-    }
-    for (const x509::Rdn& rdn : cert_->subject.rdns) {
-        candidates += static_cast<size_t>(
-            std::count_if(rdn.attributes.begin(), rdn.attributes.end(), is_cn));
-    }
     std::vector<DnsName>& names = dns_names_.emplace();
-    names.reserve(candidates);
+    names.reserve(san().size() + cert_->subject.rdns.size());
     for (const x509::GeneralName& gn : san()) {
         if (gn.type == x509::GeneralNameType::kDnsName) {
             names.push_back({gn.to_utf8_lossy(), gn.value_bytes, /*from_san=*/true, {}});
@@ -66,7 +55,7 @@ const std::vector<DnsName>& CertView::dns_names() const {
     }
     for (const x509::Rdn& rdn : cert_->subject.rdns) {
         for (const x509::AttributeValue& av : rdn.attributes) {
-            if (!is_cn(av)) continue;
+            if (av.type != asn1::oids::common_name()) continue;
             std::string value = av.to_utf8_lossy();
             if (looks_like_hostname(value)) {
                 names.push_back({std::move(value), av.value_bytes, /*from_san=*/false, {}});

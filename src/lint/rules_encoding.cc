@@ -410,14 +410,16 @@ void register_encoding_rules(Registry& reg) {
         Severity::kError, Source::kX680, dates::kAlways, false,
         footprint({CertField::kSubject}, {}, {}, {asn1::StringType::kUtf8String}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found || av.string_type != asn1::StringType::kUtf8String) return;
-                if (!unicode::is_well_formed(av.value_bytes, unicode::Encoding::kUtf8)) {
-                    found = asn1::attribute_short_name(av.type) + " has ill-formed UTF-8";
+            // A UTF8String value decodes (subject_values) exactly when
+            // it is well-formed UTF-8.
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->string_type == asn1::StringType::kUtf8String &&
+                    !value.code_points) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " has ill-formed UTF-8";
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
     reg.add(make(
         "e_bmpstring_odd_length", "BMPString values must have even byte length",
@@ -438,15 +440,16 @@ void register_encoding_rules(Registry& reg) {
         Severity::kError, Source::kX680, dates::kAlways, true,
         footprint({CertField::kSubject}, {}, {}, {asn1::StringType::kBmpString}),
         [](const CertView& cert) -> std::optional<std::string> {
-            std::optional<std::string> found;
-            for_each_attribute(cert.subject(), [&](const AttributeValue& av) {
-                if (found || av.string_type != asn1::StringType::kBmpString) return;
-                if (!unicode::is_well_formed(av.value_bytes, unicode::Encoding::kUcs2)) {
-                    found = asn1::attribute_short_name(av.type) +
-                            " BMPString contains surrogates or is malformed";
+            // A BMPString value decodes (subject_values) exactly when it
+            // is well-formed UCS-2.
+            for (const SubjectValue& value : cert.subject_values()) {
+                if (value.attribute->string_type == asn1::StringType::kBmpString &&
+                    !value.code_points) {
+                    return asn1::attribute_short_name(value.attribute->type) +
+                           " BMPString contains surrogates or is malformed";
                 }
-            });
-            return found;
+            }
+            return std::nullopt;
         }));
     reg.add(make(
         "e_universalstring_bad_length",

@@ -93,11 +93,7 @@ void register_discouraged_rules(Registry& reg) {
         Severity::kWarning, NcType::kDiscouragedField, Source::kCabfBr, dates::kCabfBr,
         footprint({CertField::kSubject}, {}, {&oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            const std::vector<SubjectValue>& values = cert.subject_values();
-            size_t n = static_cast<size_t>(
-                std::count_if(values.begin(), values.end(), [](const SubjectValue& v) {
-                    return v.attribute->type == asn1::oids::common_name();
-                }));
+            size_t n = cert.subject_common_names().size();
             if (n > 1) return std::to_string(n) + " CommonName attributes present";
             return std::nullopt;
         }));
