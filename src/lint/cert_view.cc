@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace unicert::lint {
+namespace {
+
+// Does a CN value look like it is meant to be a hostname?
+bool looks_like_hostname(std::string_view value) {
+    if (value.empty() || value.size() > 253) return false;
+    if (value.find('.') == std::string_view::npos) return false;
+    if (value.find(' ') != std::string_view::npos) return false;
+    if (value.find('@') != std::string_view::npos) return false;
+    if (value.find("://") != std::string_view::npos) return false;
+    return true;
+}
+
+}  // namespace
 
 void AccessTrace::note_extension(const asn1::Oid& oid) {
     if (!saw_extension(oid)) extensions.push_back(oid);
@@ -15,15 +28,6 @@ bool AccessTrace::saw_extension(const asn1::Oid& oid) const noexcept {
 void AccessTrace::merge(const AccessTrace& other) {
     fields |= other.fields;
     for (const asn1::Oid& oid : other.extensions) note_extension(oid);
-}
-
-bool looks_like_hostname(std::string_view value) {
-    if (value.empty() || value.size() > 253) return false;
-    if (value.find('.') == std::string_view::npos) return false;
-    if (value.find(' ') != std::string_view::npos) return false;
-    if (value.find('@') != std::string_view::npos) return false;
-    if (value.find("://") != std::string_view::npos) return false;
-    return true;
 }
 
 const x509::GeneralNames& CertView::san() const {
@@ -62,8 +66,9 @@ const std::vector<DnsName>& CertView::dns_names() const {
             }
         }
     }
-    // Split only once every value sits where it stays: the labels view
-    // into the values.
+    // Split once every value is in place: labels are views into the
+    // values, and growing `names` moves them (a short string's bytes
+    // move with it).
     for (DnsName& name : names) {
         const std::string_view host = name.value;
         name.labels.reserve(static_cast<size_t>(std::count(host.begin(), host.end(), '.')) + 1);

@@ -54,10 +54,6 @@ struct AccessTrace {
     void merge(const AccessTrace& other);
 };
 
-// Does a CN value look like it is meant to be a hostname (a dot, no
-// spaces, no '@', no "://", at most 253 bytes)?
-bool looks_like_hostname(std::string_view value);
-
 // One label of a DNSName candidate, split on '.'.
 struct DnsLabel {
     std::string_view text;  // view into DnsName::value
@@ -86,7 +82,8 @@ public:
     explicit CertView(const x509::Certificate& cert, AccessTrace* trace = nullptr) noexcept
         : cert_(&cert), trace_(trace) {}
 
-    // Memoized facts hold views into each other; a view stays in place.
+    // The memoized facts hold views into one another, so a view is
+    // neither copied nor moved.
     CertView(const CertView&) = delete;
     CertView& operator=(const CertView&) = delete;
 
@@ -154,8 +151,9 @@ public:
     // ---- Derived facts, memoized --------------------------------------
 
     // Every DNSName candidate: the SAN dNSNames, then the Subject CNs
-    // that pass looks_like_hostname, each split into labels with every
-    // A-label checked once. Reads the Subject and the SAN extension.
+    // that look like hostnames (a dot, no space, no '@', no "://", at
+    // most 253 bytes), each split into labels with every A-label
+    // checked once. Reads the Subject and the SAN extension.
     const std::vector<DnsName>& dns_names() const;
 
     // Every Subject attribute in DN order, decoded once. Reads the

@@ -154,8 +154,11 @@ void register_charset_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            if (const DnsLabel* label = find_idn_issue(cert, idna::LabelIssue::kDisallowedCodePoint)) {
-                return "label '" + std::string(label->text) + "' decodes to a DISALLOWED code point";
+            const DnsLabel* label =
+                find_idn_issue(cert, idna::LabelIssue::kDisallowedCodePoint);
+            if (label != nullptr) {
+                return "label '" + std::string(label->text) +
+                       "' decodes to a DISALLOWED code point";
             }
             return std::nullopt;
         }));
@@ -168,7 +171,9 @@ void register_charset_rules(Registry& reg) {
         footprint({CertField::kSubject}, {&asn1::oids::subject_alt_name()},
                   {&asn1::oids::common_name()}),
         [](const CertView& cert) -> std::optional<std::string> {
-            if (const DnsLabel* label = find_idn_issue(cert, idna::LabelIssue::kUndecodablePunycode)) {
+            const DnsLabel* label =
+                find_idn_issue(cert, idna::LabelIssue::kUndecodablePunycode);
+            if (label != nullptr) {
                 return "label '" + std::string(label->text) + "' is not decodable Punycode";
             }
             return std::nullopt;
